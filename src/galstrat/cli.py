@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .chi import chi_stratification, verify_specialization
@@ -26,7 +27,11 @@ COMMANDS = ("eval", "bijection", "stratify", "eliminate", "chi", "jets")
 def _sweep(fixture, args):
     sweep = dict(fixture.sweep)
     if args.primes:
-        sweep["primes"] = [int(x) for x in args.primes.split(",")]
+        try:
+            sweep["primes"] = [int(x) for x in args.primes.split(",")]
+        except ValueError:
+            raise SchemaError(
+                [f"--primes must be comma-separated integers, got {args.primes!r}"]) from None
     return sweep
 
 
@@ -173,6 +178,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if not math.isfinite(args.budget):
+            raise SchemaError([f"--budget must be a finite number of bits, got {args.budget}"])
         fixture = load_fixture(args.fixture)
         if fixture.kind != _expected_kind(args.command):
             raise SchemaError(

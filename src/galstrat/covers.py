@@ -19,8 +19,8 @@ from .errors import (
     UnequalDegrees,
     WitnessInvalid,
 )
-from .fields import FiniteField, distinct_degree_profile
-from .formulas import Formula,fresh_conjunction, holds_at, parse_formula
+from .fields import FiniteField, distinct_degree_profile, power_residue
+from .formulas import Formula, fresh_conjunction, holds_at, parse_formula
 from .groups import FiniteGroup, cyclic_group, trivial_group
 from .polynomials import Poly, parse_poly
 
@@ -132,12 +132,7 @@ class CoverSpec:
         if self.kind == "trivial":
             return 0
         if self.kind == "kummer":
-            from .fields import power_residue
-            from .formulas import _embedded_s_point
-            env = _embedded_s_point(s_point, k)
-            env.update(zip(self.stratum.free_vars, a))
-            value = self.data["f"].eval_field(
-                {v: env[v] for v in self.data["f"].used_variables()}, k)
+            value = _kummer_value(self, s_point, a, k)
             if value == 0:
                 raise PointOffStratum("Kummer function vanishes on the stratum")
             return power_residue(value, self.data["n"], k)
@@ -206,14 +201,17 @@ def fiber_decomposition_order(coeffs, k: FiniteField) -> int:
     return profile[0]
 
 
+def _kummer_value(cover: CoverSpec, s_point, a, k: FiniteField) -> int:
+    """f(s_point, a) for the Kummer function f of the cover."""
+    env = k.embed_point(s_point)
+    env.update(zip(cover.stratum.free_vars, a))
+    return cover.data["f"].compile(k)(env)
+
+
 def kummer_fiber_coeffs(cover: CoverSpec, s_point, a, k: FiniteField):
     """Dense coefficients of u^n - f(a) over F_q, the factoring cross-check."""
     if cover.kind != "kummer":
         raise WitnessInvalid("fiber polynomial only defined for Kummer covers")
-    from .formulas import _embedded_s_point
-    env = _embedded_s_point(s_point, k)
-    env.update(zip(cover.stratum.free_vars, a))
-    value = cover.data["f"].eval_field(
-        {v: env[v] for v in cover.data["f"].used_variables()}, k)
+    value = _kummer_value(cover, s_point, a, k)
     n = cover.data["n"]
     return [k.neg(value)] + [0] * (n - 1) + [1]

@@ -8,7 +8,9 @@ Construction is deterministic: the modulus is the first monic irreducible
 polynomial of degree e in increasing order of its encoded coefficient vector,
 and the generator is the smallest element (as an int) of multiplicative
 order q-1.  All multiplicative structure is tabulated (q is capped), so
-arithmetic is exact and reproducible bit for bit.
+arithmetic is exact and reproducible bit for bit.  Addition in an extension
+field is XOR for p = 2 and a Zech-logarithm lookup otherwise; the Zech
+table is built on first use, never at construction.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ class FiniteField:
         for elem, k in log.items():
             self._exp[k] = elem
         self._log = log
+        self._zech = None  # built by zech() on first use
 
     # -- construction -------------------------------------------------------
 
@@ -177,15 +180,37 @@ class FiniteField:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        p, e = self.p, self.e
-        da, db = _digits(a, p, e), _digits(b, p, e)
-        return sum(((x + y) % p) * p ** i for i, (x, y) in enumerate(zip(da, db)))
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        # Zech logarithm: g^i + g^j = g^(i + Z(j - i)), Z(n) = log(1 + g^n)
+        la = self._log[a]
+        z = self.zech()[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[(la + z) % (self.q - 1)]
+
+    def zech(self):
+        """Zech logarithms Z(n) = log(1 + g^n), n in 0..q-2, with -1 where
+        1 + g^n = 0.  Built on first use: adding 1 only touches the
+        constant digit of the base-p encoding."""
+        if self._zech is None:
+            p, log = self.p, self._log
+            zech = []
+            for x in self._exp:
+                y = x + 1 if x % p != p - 1 else x - (p - 1)
+                zech.append(log[y] if y else -1)
+            self._zech = zech
+        return self._zech
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        p, e = self.p, self.e
-        return sum(((-x) % p) * p ** i for i, x in enumerate(_digits(a, p, e)))
+        if self.p == 2 or not a:
+            return a
+        # -1 = g^((q-1)/2) for odd q
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -218,9 +243,6 @@ class FiniteField:
     def elements(self):
         return range(self.q)
 
-    def embed_int(self, n: int) -> int:
-        return n % self.p
-
     def embed_fraction(self, fr: Fraction) -> int:
         den = fr.denominator % self.p
         if den == 0:
@@ -229,6 +251,16 @@ class FiniteField:
         # inverse in the prime subfield
         inv = pow(den, self.p - 2, self.p)
         return (num * inv) % self.p
+
+    def embed_point(self, s_point) -> dict:
+        """Base-parameter values as field elements.
+
+        An int in 0..q-1 is already an element (its base-p encoding); any
+        other value is read as a rational and reduced into the prime field."""
+        q = self.q
+        return {name: (val if isinstance(val, int) and 0 <= val < q
+                       else self.embed_fraction(Fraction(val)))
+                for name, val in s_point.items()}
 
     def log(self, a: int) -> int:
         if a == 0:

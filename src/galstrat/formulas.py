@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
@@ -133,6 +132,7 @@ class Formula:
     def __init__(self, body, base_params=(), free_vars=None):
         self.base_params = tuple(base_params)
         self.body = body
+        self._compiled = {}  # field -> predicate, filled by compile()
         bound = _bound_vars(body)
         if bound & set(self.base_params):
             raise UnboundVariableCollision(
@@ -157,6 +157,17 @@ class Formula:
     def is_sentence(self):
         return not self.free_vars
 
+    def compile(self, k: FiniteField):
+        """Predicate env -> bool over F_q, built once per field.
+
+        env maps base parameters and free variables to field elements;
+        quantifiers bind their variable in env while they run and restore
+        it afterwards."""
+        pred = self._compiled.get(k)
+        if pred is None:
+            pred = self._compiled[k] = _compile_node(self.body, k)
+        return pred
+
     def quantifier_depth(self):
         def depth(node):
             if isinstance(node, (Exists, Forall)):
@@ -167,10 +178,6 @@ class Formula:
                 return depth(node.sub)
             return 0
         return depth(self.body)
-
-
-def _print_poly_operand(poly):
-    return str(poly)
 
 
 def _print_node(node):
@@ -481,40 +488,42 @@ class DefinableSet:
         return f"DefinableSet({self.free_vars}, {len(self.tuples)} tuples over {self.field})"
 
 
-def _holds(node, env, k):
-    if isinstance(node, Eq):
-        return node.left.eval_field(env, k) == node.right.eval_field(env, k)
-    if isinstance(node, Neq):
-        return node.left.eval_field(env, k) != node.right.eval_field(env, k)
-    if isinstance(node, And):
-        return _holds(node.left, env, k) and _holds(node.right, env, k)
-    if isinstance(node, Or):
-        return _holds(node.left, env, k) or _holds(node.right, env, k)
-    if isinstance(node, Implies):
-        return (not _holds(node.left, env, k)) or _holds(node.right, env, k)
+def _compile_node(node, k):
+    if isinstance(node, (Eq, Neq)):
+        left, right = node.left.compile(k), node.right.compile(k)
+        if isinstance(node, Eq):
+            return lambda env: left(env) == right(env)
+        return lambda env: left(env) != right(env)
+    if isinstance(node, (And, Or, Implies)):
+        left, right = _compile_node(node.left, k), _compile_node(node.right, k)
+        if isinstance(node, And):
+            return lambda env: left(env) and right(env)
+        if isinstance(node, Or):
+            return lambda env: left(env) or right(env)
+        return lambda env: (not left(env)) or right(env)
     if isinstance(node, Not):
-        return not _holds(node.sub, env, k)
-    if isinstance(node, Exists):
-        saved = env.get(node.var, _MISSING)
-        result = False
-        for v in k.elements():
-            env[node.var] = v
-            if _holds(node.sub, env, k):
-                result = True
-                break
-        _restore(env, node.var, saved)
-        return result
-    if isinstance(node, Forall):
-        saved = env.get(node.var, _MISSING)
-        result = True
-        for v in k.elements():
-            env[node.var] = v
-            if not _holds(node.sub, env, k):
-                result = False
-                break
-        _restore(env, node.var, saved)
-        return result
+        sub = _compile_node(node.sub, k)
+        return lambda env: not sub(env)
+    if isinstance(node, (Exists, Forall)):
+        return _quantifier(node.var, _compile_node(node.sub, k), k.elements(),
+                           witness=isinstance(node, Exists))
     raise TypeError(node)
+
+
+def _quantifier(var, sub, elements, witness):
+    """Exists (witness True) stops at the first value where sub holds,
+    Forall (witness False) at the first where it fails."""
+    def quantify(env):
+        saved = env.get(var, _MISSING)
+        result = not witness
+        for v in elements:
+            env[var] = v
+            if sub(env) == witness:
+                result = witness
+                break
+        _restore(env, var, saved)
+        return result
+    return quantify
 
 
 _MISSING = object()
@@ -527,16 +536,11 @@ def _restore(env, var, saved):
         env[var] = saved
 
 
-def _embedded_s_point(s_point, k):
-    return {name: (val if isinstance(val, int) and 0 <= val < k.q else k.embed_fraction(Fraction(val)))
-            for name, val in s_point.items()}
-
-
 def holds_at(f: Formula, s_point, point, k: FiniteField) -> bool:
     """Truth of f at one free-variable tuple (no enumeration of free vars)."""
-    env = _embedded_s_point(s_point, k)
-    env.update(dict(zip(f.free_vars, point)))
-    return _holds(f.body, env, k)
+    env = k.embed_point(s_point)
+    env.update(zip(f.free_vars, point))
+    return f.compile(k)(env)
 
 
 def fresh_conjunction(f: Formula, nonzero_poly) -> Formula:
@@ -592,12 +596,12 @@ def eval_formula(f: Formula, s_point, k: FiniteField,
     bits = (m + f.quantifier_depth()) * math.log2(k.q)
     if bits > budget:
         raise BudgetExceeded(f"{bits:.1f} bits exceeds budget {budget}")
-    base_env = _embedded_s_point(s_point, k)
+    pred = f.compile(k)
+    env = k.embed_point(s_point)
     tuples = []
     for point in itertools.product(range(k.q), repeat=m):
-        env = dict(base_env)
         env.update(zip(f.free_vars, point))
-        if _holds(f.body, env, k):
+        if pred(env):
             tuples.append(point)
     return DefinableSet(k, s_point, f.free_vars, tuples)
 

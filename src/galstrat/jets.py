@@ -123,23 +123,20 @@ def _solutions(ideal: JetIdeal, s_point, k: FiniteField, budget):
     yielded tuples follow the ideal's variable-major layout.
     """
     _check_budget(len(ideal.jet_vars), k, budget)
-    from .formulas import _embedded_s_point
-    base_env = _embedded_s_point(s_point, k)
     order = [jet_var(x, j) for j in range(ideal.n + 1) for x in ideal.x_vars]
     pos_of = {v: i for i, v in enumerate(order)}
     buckets = [[] for _ in range(len(order) + 1)]
     for g in ideal.gens:
         if g.is_zero():
             continue
-        used = [v for v in g.used_variables() if v in pos_of]
-        pos = max((pos_of[v] + 1 for v in used), default=0)
-        buckets[pos].append(g)
-    env = dict(base_env)
+        pos = max((pos_of[v] + 1 for v in g.used_variables() if v in pos_of), default=0)
+        buckets[pos].append(g.compile(k))
+    env = k.embed_point(s_point)
     n_vars = len(order)
 
     def passes(bucket):
         for g in bucket:
-            if g.eval_field({v: env[v] for v in g.used_variables()}, k) != 0:
+            if g(env):
                 return False
         return True
 

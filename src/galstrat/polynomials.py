@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FormulaSyntaxError, MissingVariable
+from .errors import DenominatorNotInvertible, FormulaSyntaxError, MissingVariable
 from .fields import FiniteField
 
 
 class Poly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_compiled")
 
     def __init__(self, variables, terms=None):
+        self._compiled = None  # field -> evaluator, filled by compile()
         self.variables = tuple(variables)
         clean = {}
         for expo, coef in (terms or {}).items():
@@ -139,15 +140,6 @@ class Poly:
                     used.add(v)
         return used
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name):
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     # -- substitution and evaluation ------------------------------------------
 
     def substitute(self, mapping):
@@ -176,8 +168,28 @@ class Poly:
             out = out + term
         return out
 
+    def compile(self, k: FiniteField):
+        """Evaluator env -> F_q element, built once per field.
+
+        Coefficients are reduced into F_q and zero terms dropped up front;
+        each monomial becomes (variable, exponent) pairs.  An unbound used
+        variable raises MissingVariable and a coefficient whose denominator
+        p divides raises DenominatorNotInvertible, both at evaluation time.
+        """
+        memo = self._compiled
+        if memo is None:
+            memo = self._compiled = {}
+        fn = memo.get(k)
+        if fn is None:
+            fn = memo[k] = _compile(self, k)
+        return fn
+
     def eval_field(self, assign, k: FiniteField):
         """Value at a point with coordinates in F_q (ints)."""
+        return self.compile(k)(assign)
+
+    def eval_field_reference(self, assign, k: FiniteField):
+        """Term-by-term field arithmetic; the test oracle for compile()."""
         for v in self.used_variables():
             if v not in assign:
                 raise MissingVariable(v)
@@ -238,6 +250,88 @@ class Poly:
 
 def _frac_str(fr: Fraction) -> str:
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+
+
+def _compile(f: Poly, k: FiniteField):
+    used = tuple(f.used_variables())
+    terms = []
+    for expo, coef in f.terms.items():
+        if coef.denominator % k.p == 0:
+            return _raiser(used, f"denominator {coef.denominator} not invertible mod {k.p}")
+        c = k.embed_fraction(coef)
+        if c:
+            terms.append((c, tuple((v, e) for v, e in zip(f.variables, expo) if e)))
+    # variables of terms that vanish mod p must be bound all the same
+    kept = {v for _, factors in terms for v, _ in factors}
+    unchecked = tuple(v for v in used if v not in kept)
+    if k.e == 1:
+        return _prime_evaluator(terms, k.p, used, unchecked)
+    return _extension_evaluator(terms, k, used, unchecked)
+
+
+def _require_bound(names, env):
+    for v in names:
+        if v not in env:
+            raise MissingVariable(v)
+
+
+def _raiser(used, message):
+    def evaluate(env):
+        _require_bound(used, env)
+        raise DenominatorNotInvertible(message)
+    return evaluate
+
+
+def _prime_evaluator(terms, p, used, unchecked):
+    """Integer arithmetic with a single reduction mod p at the end."""
+    def evaluate(env):
+        if unchecked:
+            _require_bound(unchecked, env)
+        acc = 0
+        try:
+            for c, factors in terms:
+                for v, e in factors:
+                    c *= env[v] ** e
+                acc += c
+        except KeyError:
+            _require_bound(used, env)
+            raise
+        return acc % p
+    return evaluate
+
+
+def _extension_evaluator(terms, k: FiniteField, used, unchecked):
+    """Monomials through the log/exp tables, where a zero factor kills the
+    term.  The running sum is kept as a logarithm (None for 0) and terms
+    are added to it through the field's Zech logarithms."""
+    log, exp, zech, n = k._log, k._exp, k.zech(), k.q - 1
+    log_terms = [(log[c], factors) for c, factors in terms]
+
+    def evaluate(env):
+        if unchecked:
+            _require_bound(unchecked, env)
+        acc = None
+        try:
+            for lc, factors in log_terms:
+                zero = False
+                for v, e in factors:
+                    x = env[v]
+                    if x:
+                        lc += e * log[x]
+                    else:
+                        zero = True
+                if zero:
+                    continue
+                if acc is None:
+                    acc = lc % n
+                else:
+                    z = zech[(lc - acc) % n]
+                    acc = None if z < 0 else (acc + z) % n
+        except KeyError:
+            _require_bound(used, env)
+            raise
+        return 0 if acc is None else exp[acc]
+    return evaluate
 
 
 def poly_eval(f: Poly, assign, k: FiniteField):

@@ -181,13 +181,11 @@ def check_pullback_contract(pb: GaloisStratification, strat: GaloisStratificatio
                             var_map, sweep):
     """Brute-force the contract: a in Z(pullback) iff f(a) in Z(strat)."""
     for k, s_point in sweep:
-        from .formulas import _embedded_s_point
+        maps = [var_map[v].compile(k) for v in strat.coords]
+        env = k.embed_point(s_point)
         for a in itertools.product(range(k.q), repeat=pb.ambient_dim):
-            env = _embedded_s_point(s_point, k)
             env.update(zip(pb.coords, a))
-            fa = tuple(var_map[v].eval_field(
-                {w: env[w] for w in var_map[v].used_variables()}, k)
-                for v in strat.coords)
+            fa = tuple(f(env) for f in maps)
             if pb.member(s_point, a, k) != strat.member(s_point, fa, k):
                 raise SemanticMismatch("pullback contract fails", (k.q, s_point, a))
 

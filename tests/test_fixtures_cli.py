@@ -158,3 +158,28 @@ def test_cli_out_file(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert code == 0
     assert out_path.read_text().strip() == shown.strip()
+
+
+@pytest.mark.parametrize("primes", ["abc", "5,,7", "5;7"])
+def test_cli_malformed_primes_schema_error(primes, capsys):
+    code = main(["eval", str(FIXTURES / "squares_formula.json"), "--primes", primes])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "SchemaError"
+    assert "--primes" in report["detail"][0]
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_cli_non_finite_budget_rejected(budget, capsys):
+    code = main(["eval", str(FIXTURES / "squares_formula.json"), f"--budget={budget}"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "SchemaError"
+    assert "--budget" in report["detail"][0]
+
+
+def test_cli_finite_budget_still_guards(capsys):
+    code = main(["eval", str(FIXTURES / "squares_formula.json"), "--budget", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "BudgetExceeded"
