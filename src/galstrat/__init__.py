@@ -41,7 +41,7 @@ from .characters import (
     inner_product,
     restrict_central,
 )
-from .covers import AdmissiblePrimes, CoverSpec, decomposition_class, fiber_decomposition_order
+from .covers import AdmissiblePrimes, CoverSpec, fiber_decomposition_order
 from .stratifications import (
     Case1Datum,
     Case2Datum,
@@ -56,7 +56,6 @@ from .stratifications import (
     eliminate_case1,
     eliminate_case2,
     eliminate_existential,
-    galois_set,
     inflate,
     product,
     pullback,

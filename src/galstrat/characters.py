@@ -72,11 +72,6 @@ class QCentralFunction:
         c = Fraction(c)
         return QCentralFunction(self.group, [c * v for v in self.values])
 
-    def pointwise_mul(self, other):
-        self._require_same_group(other)
-        return QCentralFunction(self.group,
-                                [a * b for a, b in zip(self.values, other.values)])
-
     def is_zero(self):
         return all(v == 0 for v in self.values)
 

@@ -42,10 +42,6 @@ class QuotientClassData:
             raise MissingQuotient(rep)
         return self.classes[rep]
 
-    @property
-    def total_class(self) -> MotiveClass:
-        return self.classes[frozenset({0})]
-
 
 def kummer_quotient_data(n: int, symbol: str = "Gm") -> QuotientClassData:
     """All quotients of the degree-n Kummer cover of the torus are tori."""

@@ -112,12 +112,14 @@ class CoverSpec:
         return cls("tabulated", group, stratum, admissible, label, assign=assign)
 
     @classmethod
-    def product(cls, factors, var_blocks, stratum, group, embed_element,
+    def product(cls, factors, stratum, group, embed_element,
                 admissible=ALL_PRIMES, label=None):
-        """Combined cover: embed_element(e1, e2, ...) -> element of group."""
+        """Combined cover: embed_element(e1, e2, ...) -> element of group.
+
+        The stratum's free variables are the factors' free variables, one
+        block per factor, in factor order."""
         return cls("product", group, stratum, admissible, label,
-                   factors=tuple(factors), var_blocks=tuple(tuple(b) for b in var_blocks),
-                   embed_element=embed_element)
+                   factors=tuple(factors), embed_element=embed_element)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -125,7 +127,9 @@ class CoverSpec:
         return holds_at(self.stratum, s_point, a, k)
 
     def frobenius_element(self, s_point, a, k: FiniteField) -> int:
-        """The distinguished generator of the decomposition class at a."""
+        """The distinguished generator of the decomposition class at a.
+
+        a lists the point's coordinates in the order of stratum.free_vars."""
         self.admissible.require(k.q)
         if not self.on_stratum(s_point, a, k):
             raise PointOffStratum(f"{a} does not satisfy {self.stratum}")
@@ -141,10 +145,10 @@ class CoverSpec:
         if self.kind == "product":
             elements = []
             offset = 0
-            for cover, block in zip(self.data["factors"], self.data["var_blocks"]):
-                sub = tuple(a[offset:offset + len(block)])
-                offset += len(block)
-                elements.append(cover.frobenius_element(s_point, sub, k))
+            for cover in self.data["factors"]:
+                width = len(cover.stratum.free_vars)
+                elements.append(cover.frobenius_element(s_point, a[offset:offset + width], k))
+                offset += width
             return self.data["embed_element"](*elements)
         raise WitnessInvalid(f"unknown cover kind {self.kind!r}")
 
@@ -177,16 +181,11 @@ class CoverSpec:
         if self.kind == "product":
             factors = tuple(c.substitute_base(mapping) for c in self.data["factors"])
             return CoverSpec("product", self.group, stratum, self.admissible, self.label,
-                             factors=factors, var_blocks=self.data["var_blocks"],
-                             embed_element=self.data["embed_element"])
+                             factors=factors, embed_element=self.data["embed_element"])
         raise WitnessInvalid(f"unknown cover kind {self.kind!r}")
 
     def __repr__(self):
         return f"CoverSpec({self.label}, group={self.group.name}, stratum={self.stratum})"
-
-
-def decomposition_class(cover: CoverSpec, s_point, a, k: FiniteField) -> frozenset:
-    return cover.decomposition_class(s_point, a, k)
 
 
 def fiber_decomposition_order(coeffs, k: FiniteField) -> int:

@@ -559,10 +559,6 @@ def conjunction(f: Formula, g: Formula) -> Formula:
     return Formula(And(f.body, g.body), base_params=f.base_params, free_vars=merged)
 
 
-def negation(f: Formula) -> Formula:
-    return Formula(Not(f.body), base_params=f.base_params, free_vars=f.free_vars)
-
-
 def substitute_formula(f: Formula, mapping) -> Formula:
     """Substitute base parameters (or free variables) by rational constants
     or polynomials; substituted names leave the parameter lists."""

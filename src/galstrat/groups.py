@@ -85,20 +85,6 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------------
 
-    def generated(self, gens):
-        out = {0}
-        frontier = list(gens)
-        while frontier:
-            g = frontier.pop()
-            if g not in out:
-                out.add(g)
-            for h in list(out):
-                for prod in (self.mul(g, h), self.mul(h, g)):
-                    if prod not in out:
-                        out.add(prod)
-                        frontier.append(prod)
-        return frozenset(out)
-
     def cyclic_subgroup(self, g):
         out = {0}
         x = g
@@ -124,25 +110,6 @@ class FiniteGroup:
         if self._cyclic_cache is None:
             self._cyclic_cache = frozenset(self.cyclic_subgroup(g) for g in self.elements())
         return self._cyclic_cache
-
-    def all_subgroups(self):
-        """Every subgroup, by closing all subsets of generator candidates.
-
-        Desk scale: only used on the small fixture groups.
-        """
-        found = {frozenset({0}), frozenset(self.elements())}
-        frontier = set(self.cyclic_subgroups())
-        found |= frontier
-        while frontier:
-            nxt = set()
-            for s in frontier:
-                for g in self.elements():
-                    bigger = self.generated(set(s) | {g})
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.add(bigger)
-            frontier = nxt
-        return found
 
     def subgroup_conjugacy_class(self, s):
         return frozenset(self.conjugate_subgroup(s, x) for x in self.elements())
@@ -315,20 +282,8 @@ class GroupHom:
             raise NotSurjective(f"{self} is not surjective")
         return self
 
-    def compose(self, inner):
-        """self o inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise GroupMismatch("composition type mismatch")
-        return GroupHom(inner.source, self.target,
-                        [self.mapping[inner.mapping[a]] for a in inner.source.elements()],
-                        skip_checks=True)
-
     def __repr__(self):
         return f"Hom({self.source.name} -> {self.target.name})"
-
-
-def identity_hom(g):
-    return GroupHom(g, g, list(g.elements()), skip_checks=True)
 
 
 def all_homomorphisms(source, target):

@@ -32,7 +32,7 @@ from .errors import (
     VariableMismatch,
     WitnessInvalid,
 )
-from .formulas import DefinableSet, conjunction, holds_at
+from .formulas import DefinableSet, conjunction
 from .groups import ConjDomain, FiniteGroup, GroupHom, direct_product, product_projections
 
 
@@ -50,6 +50,9 @@ class GaloisStratification:
             if extra:
                 raise VariableMismatch(
                     f"stratum formula uses non-ambient variables {sorted(extra)}")
+        # where each stratum's free variables sit in an ambient point
+        self._slots = tuple(tuple(self.coords.index(v) for v in cover.stratum.free_vars)
+                            for cover, _ in self.strata)
 
     @property
     def ambient_dim(self):
@@ -71,25 +74,48 @@ class GaloisStratification:
 
     # -- semantics ---------------------------------------------------------------
 
+    def _fiber(self, s_point, k):
+        """Membership test of one fiber (k, s_point), as a pair of closures.
+
+        locate(a) is the index of the unique stratum holding the ambient
+        point a; member(a) says whether a lies in the Galois set.  The base
+        point is embedded and each stratum formula compiled once per fiber.
+        Only a stratum with a non-empty domain asks its cover for the
+        decomposition class, at a read in the stratum's free-variable order.
+        """
+        env = k.embed_point(s_point)
+        tests = [cover.stratum.compile(k) for cover, _ in self.strata]
+        coords, strata, slots = self.coords, self.strata, self._slots
+
+        def locate(a):
+            env.update(zip(coords, a))
+            hits = [i for i, holds in enumerate(tests) if holds(env)]
+            if len(hits) != 1:
+                raise PartitionViolation(a, len(hits))
+            return hits[0]
+
+        def member(a):
+            i = locate(a)
+            cover, con = strata[i]
+            if con.is_empty():
+                return False
+            point = tuple(a[j] for j in slots[i])
+            return cover.decomposition_class(s_point, point, k) in con
+
+        return locate, member
+
     def stratum_of(self, s_point, a, k):
-        hits = [i for i, (cover, _) in enumerate(self.strata)
-                if _stratum_holds(cover, self.coords, s_point, a, k)]
-        if len(hits) != 1:
-            raise PartitionViolation(a, len(hits))
-        return hits[0]
+        locate, _ = self._fiber(s_point, k)
+        return locate(a)
 
     def member(self, s_point, a, k) -> bool:
-        i = self.stratum_of(s_point, a, k)
-        cover, con = self.strata[i]
-        if con.is_empty():
-            return False
-        return cover.decomposition_class(s_point, a, k) in con
+        _, member = self._fiber(s_point, k)
+        return member(a)
 
     def galois_set(self, s_point, k) -> DefinableSet:
-        tuples = []
-        for a in itertools.product(range(k.q), repeat=self.ambient_dim):
-            if self.member(s_point, a, k):
-                tuples.append(a)
+        _, member = self._fiber(s_point, k)
+        tuples = [a for a in itertools.product(range(k.q), repeat=self.ambient_dim)
+                  if member(a)]
         return DefinableSet(k, s_point, self.coords, tuples)
 
     def substitute_base(self, mapping) -> "GaloisStratification":
@@ -101,15 +127,6 @@ class GaloisStratification:
     def __repr__(self):
         return (f"GaloisStratification({self.label}, coords={self.coords}, "
                 f"{len(self.strata)} strata)")
-
-
-def _stratum_holds(cover, coords, s_point, a, k):
-    point = tuple(a[coords.index(v)] for v in cover.stratum.free_vars)
-    return holds_at(cover.stratum, s_point, point, k)
-
-
-def galois_set(strat: GaloisStratification, s_point, k) -> DefinableSet:
-    return strat.galois_set(s_point, k)
 
 
 # -- refinement and pullback ------------------------------------------------------
@@ -183,10 +200,12 @@ def check_pullback_contract(pb: GaloisStratification, strat: GaloisStratificatio
     for k, s_point in sweep:
         maps = [var_map[v].compile(k) for v in strat.coords]
         env = k.embed_point(s_point)
+        _, in_pb = pb._fiber(s_point, k)
+        _, in_strat = strat._fiber(s_point, k)
         for a in itertools.product(range(k.q), repeat=pb.ambient_dim):
             env.update(zip(pb.coords, a))
             fa = tuple(f(env) for f in maps)
-            if pb.member(s_point, a, k) != strat.member(s_point, fa, k):
+            if in_pb(a) != in_strat(fa):
                 raise SemanticMismatch("pullback contract fails", (k.q, s_point, a))
 
 
@@ -199,15 +218,10 @@ def inflate(stratum_pair, psi: GroupHom, new_cover: CoverSpec):
     group; the new domain consists of the cyclic subgroups whose image
     belongs to the old domain.
     """
-    cover, con = stratum_pair
-    psi.require_surjective()
-    if psi.target != cover.group:
-        raise SurjectionInvalid("projection target is not the old cover group")
+    _, con = stratum_pair
     if psi.source != new_cover.group:
         raise SurjectionInvalid("projection source is not the new cover group")
-    subs = [h for h in new_cover.group.cyclic_subgroups()
-            if psi.image(h) in con]
-    return new_cover, ConjDomain(new_cover.group, subs)
+    return new_cover, inflate_domain(con, psi)
 
 
 def inflate_domain(con: ConjDomain, psi: GroupHom) -> ConjDomain:
@@ -217,19 +231,6 @@ def inflate_domain(con: ConjDomain, psi: GroupHom) -> ConjDomain:
         raise SurjectionInvalid("projection target mismatch")
     subs = [h for h in psi.source.cyclic_subgroups() if psi.image(h) in con]
     return ConjDomain(psi.source, subs)
-
-
-def inflate_stratification(strat, data) -> GaloisStratification:
-    """data: list of (stratum_index, psi, new_cover)."""
-    by_index = {i: (psi, cover) for i, psi, cover in data}
-    new_strata = []
-    for i, pair in enumerate(strat.strata):
-        if i in by_index:
-            psi, new_cover = by_index[i]
-            new_strata.append(inflate(pair, psi, new_cover))
-        else:
-            new_strata.append(pair)
-    return strat.with_strata(new_strata, label=f"{strat.label}|inflated")
 
 
 # -- boolean operations ------------------------------------------------------------
@@ -297,8 +298,7 @@ def product(a: GaloisStratification, b: GaloisStratification,
         _check_witness(wit, ca.group, cb.group)
         stratum = conjunction(ca.stratum, cb.stratum)
         cover = CoverSpec.product(
-            factors=(ca, cb), var_blocks=(a.coords, b.coords),
-            stratum=stratum, group=wit.group,
+            factors=(ca, cb), stratum=stratum, group=wit.group,
             embed_element=_element_finder(wit),
             admissible=ca.admissible.merge(cb.admissible),
             label=f"{ca.label}x{cb.label}")
@@ -404,14 +404,10 @@ class GaloisFormula:
             raise DimMismatch("more quantifiers than coordinates")
         self.strat = strat
 
-    @property
-    def free_coords(self):
-        return self.strat.coords[:strat_free(self)]
-
     def definable_set(self, s_point, k) -> DefinableSet:
         full = self.strat.galois_set(s_point, k)
         tuples = set(full.tuples)
-        n_free = strat_free(self)
+        n_free = self.strat.ambient_dim - len(self.prefix)
         for i, quant in reversed(list(enumerate(self.prefix))):
             arity = n_free + i
             projected = set()
@@ -428,10 +424,6 @@ class GaloisFormula:
 
     def __repr__(self):
         return f"GaloisFormula(prefix={self.prefix}, {self.strat!r})"
-
-
-def strat_free(gf: GaloisFormula) -> int:
-    return gf.strat.ambient_dim - len(gf.prefix)
 
 
 def _eliminate_exists_once(strat: GaloisStratification, plan: EliminationPlan,
@@ -468,7 +460,11 @@ def _eliminate_exists_once(strat: GaloisStratification, plan: EliminationPlan,
 
 
 def validate_elimination(gf_in: GaloisFormula, gf_out: GaloisFormula, sweep):
-    """Z(output) must equal Z(input) exactly on every (field, s_point)."""
+    """Z(output) must equal Z(input) exactly on every (field, s_point).
+
+    Returns one (k, s_point, count) row per fiber, count being the size of
+    the common set."""
+    rows = []
     for k, s_point in sweep:
         want = gf_in.definable_set(s_point, k)
         got = gf_out.definable_set(s_point, k)
@@ -476,6 +472,8 @@ def validate_elimination(gf_in: GaloisFormula, gf_out: GaloisFormula, sweep):
             diff = sorted(want.tuples ^ got.tuples)
             raise SemanticMismatch("elimination changes the definable set",
                                    (k.q, s_point, diff[0]))
+        rows.append((k, s_point, len(want)))
+    return rows
 
 
 def eliminate_existential(gf: GaloisFormula, plan: EliminationPlan,
@@ -513,13 +511,3 @@ def same_galois_set(a: GaloisStratification, b: GaloisStratification, sweep) -> 
         if a.galois_set(s_point, k).tuples != b.galois_set(s_point, k).tuples:
             return False
     return True
-
-
-def check_same_semantics(a, b, sweep, context="operation"):
-    for k, s_point in sweep:
-        za = a.galois_set(s_point, k)
-        zb = b.galois_set(s_point, k)
-        if za.tuples != zb.tuples:
-            diff = sorted(za.tuples ^ zb.tuples)
-            raise SemanticMismatch(f"{context} changes the definable set",
-                                   (k.q, s_point, diff[0]))

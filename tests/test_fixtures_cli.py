@@ -183,3 +183,25 @@ def test_cli_finite_budget_still_guards(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("command,name,missing", [
+    ("eval", "shifted_square_bijection.json", ["formula"]),
+    ("bijection", "squares_formula.json", ["psi", "phi1", "phi2"]),
+])
+def test_cli_formula_fixture_lacking_command_input(command, name, missing, capsys):
+    code = main([command, str(FIXTURES / name)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "SchemaError"
+    assert report["detail"] == [f"command {command!r} needs {m!r} in the fixture"
+                                for m in missing]
+
+
+def test_cli_unwritable_out_is_io_error(tmp_path, capsys):
+    out_path = tmp_path / "no_such_dir" / "report.json"
+    code = main(["eval", str(FIXTURES / "squares_formula.json"), "--out", str(out_path)])
+    report = json.loads(capsys.readouterr().out)  # the error alone, no report before it
+    assert code == 2
+    assert report["error"] == "IoError"
+    assert not out_path.exists()

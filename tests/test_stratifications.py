@@ -1,10 +1,13 @@
 """Stratification calculus: all operations against brute-force semantics."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from galstrat.cli import main
 from galstrat.covers import CoverSpec
 from galstrat.errors import (
     CommonRefinementRequired,
@@ -601,3 +604,123 @@ def test_randomized_boolean_semantics():
             assert inter.galois_set(s, k).tuples == za[q] & zb[q]
             space = set(itertools.product(range(q), repeat=1))
             assert comp.galois_set(s, k).tuples == space - za[q]
+
+
+# -- point order: covers read points in their stratum's free-variable order ------------
+
+def is_square(v, q):
+    """Euler's criterion in a prime field, independent of the engine."""
+    return v % q != 0 and pow(v, (q - 1) // 2, q) == 1
+
+
+def kummer_y(stratum, rest):
+    """Over (x, y): squares in y on a Kummer stratum whose formula names y first."""
+    gm = CoverSpec.kummer(2, "y", stratum)
+    other = CoverSpec.trivial(parse_formula(rest))
+    return GaloisStratification(("x", "y"), [
+        (gm, ConjDomain(Z2, [frozenset({0})])),
+        (other, ConjDomain.empty(ONE)),
+    ], label="kummer_y")
+
+
+KUMMER_Y_CASES = [
+    # stratum, complement, oracle over (x, y), its size over F_13
+    pytest.param("~(y = 0) & ~(x = 0)", "y = 0 | x = 0",
+                 lambda x, y, q: x != 0 and is_square(y, q), 72, id="x_and_y_nonzero"),
+    pytest.param("~(y = 0)", "y = 0", lambda x, y, q: is_square(y, q), 78, id="y_nonzero"),
+]
+
+
+@pytest.mark.parametrize("stratum,rest,oracle,size", KUMMER_Y_CASES)
+def test_kummer_stratum_out_of_coord_order(stratum, rest, oracle, size):
+    strat = kummer_y(stratum, rest)
+    assert strat.strata[0][0].stratum.free_vars[0] == "y"  # not the coords' order
+    for k in (F5, F13):
+        want = {(x, y) for x in range(k.q) for y in range(k.q) if oracle(x, y, k.q)}
+        assert strat.galois_set({}, k).tuples == want
+    assert len(want) == size
+    assert not strat.member({}, (1, 2), F13)  # x = 1 is a square, y = 2 is not
+    assert strat.member({}, (2, 1), F13)
+
+
+@pytest.mark.parametrize("stratum,rest,oracle,size", KUMMER_Y_CASES)
+def test_product_of_kummer_strata_out_of_coord_order(stratum, rest, oracle, size):
+    squares_z = GaloisStratification(("z",), [
+        (CoverSpec.kummer(2, "z", "~(z = 0)"), ConjDomain(Z2, [frozenset({0})])),
+        (CoverSpec.trivial(parse_formula("z = 0")), ConjDomain.empty(ONE)),
+    ])
+    prod = product(kummer_y(stratum, rest), squares_z)
+    assert prod.coords == ("x", "y", "z")
+    q = F13.q
+    want = {(x, y, z) for x, y, z in itertools.product(range(q), repeat=3)
+            if oracle(x, y, q) and is_square(z, q)}
+    assert len(want) == size * 6  # six nonzero squares in F_13
+    assert prod.galois_set({}, F13).tuples == want
+
+
+def test_stratify_fixture_out_of_coord_order(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "kind": "stratification",
+        "stratification": {
+            "coords": ["x", "y"],
+            "strata": [
+                {"cover": {"kind": "kummer", "n": 2, "f": "y",
+                           "stratum": "~(y = 0) & ~(x = 0)"}, "con": [[0]]},
+                {"cover": {"kind": "trivial", "stratum": "y = 0 | x = 0"}, "con": []},
+            ],
+        },
+        "sweep": {"primes": [5, 13], "s_points": [{}]},
+    }
+    path = tmp_path / "kummer_y.json"
+    path.write_text(json.dumps(doc))
+    assert main(["stratify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for row in report["results"]:
+        q = row["q"]
+        want = sorted([x, y] for x in range(1, q) for y in range(q) if is_square(y, q))
+        assert row["tuples"] == want
+
+
+def test_tabulated_cover_keys_in_stratum_order(tmp_path, capsys):
+    """Tabulated assign keys list the point in its stratum's free-variable order."""
+    q = 3
+    # Frobenius 1 exactly when (y, x) = (1, 2)
+    assign = {f"{y},{x}": int((y, x) == (1, 2)) for x in range(q) for y in range(q)}
+    doc = {
+        "version": 1,
+        "kind": "stratification",
+        "stratification": {
+            "coords": ["x", "y"],
+            "strata": [
+                {"cover": {"kind": "tabulated", "group": {"cyclic": 2},
+                           "stratum": "y = y & x = x", "assign": {str(q): assign}},
+                 "con": [[0, 1]]},
+            ],
+        },
+        "sweep": {"primes": [q], "s_points": [{}]},
+    }
+    path = tmp_path / "tabulated_yx.json"
+    path.write_text(json.dumps(doc))
+    assert main(["stratify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][0]["tuples"] == [[2, 1]]
+
+
+def test_cli_eliminate_classifies_each_fiber_twice(monkeypatch, capsys):
+    """One galois_set call for the input set and one for the output, per fiber."""
+    calls = []
+    original = GaloisStratification.galois_set
+
+    def counting(self, s_point, k):
+        calls.append((k.q, tuple(sorted(s_point.items()))))
+        return original(self, s_point, k)
+
+    monkeypatch.setattr(GaloisStratification, "galois_set", counting)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "case1_squaring.json"
+    assert main(["eliminate", str(fixture)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    fibers = [(row["q"], row["s_point"]) for row in report["results"]]
+    assert fibers
+    assert len(calls) == 2 * len(fibers)
+    assert all(calls.count(c) == 2 for c in calls)
