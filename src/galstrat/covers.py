@@ -16,6 +16,7 @@ from __future__ import annotations
 from .errors import (
     InadmissiblePrime,
     PointOffStratum,
+    SchemaError,
     UnequalDegrees,
     WitnessInvalid,
 )
@@ -53,11 +54,22 @@ class AdmissiblePrimes:
 
     @classmethod
     def from_json(cls, doc):
+        """Read an admissible document; a malformed one raises SchemaError."""
         doc = doc or {}
+        if not isinstance(doc, dict):
+            raise SchemaError([f"admissible must be an object, got {doc!r}"])
         mod = doc.get("mod", [])
-        if mod and isinstance(mod[0], int):
+        if isinstance(mod, list) and mod and type(mod[0]) is int:
             mod = [mod]
-        return cls(congruences=[(m, r) for m, r in mod], exclude=doc.get("exclude", ()))
+        if not (isinstance(mod, list) and all(
+                isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
+                and c[0] >= 1 for c in mod)):
+            raise SchemaError(
+                [f"admissible mod must be [m, r] integer pairs with m >= 1, got {doc['mod']!r}"])
+        exclude = doc.get("exclude", [])
+        if not (isinstance(exclude, list) and all(type(x) is int for x in exclude)):
+            raise SchemaError([f"admissible exclude must list integers, got {exclude!r}"])
+        return cls(congruences=mod, exclude=exclude)
 
     def to_json(self):
         return {"mod": [list(c) for c in self.congruences],
@@ -126,6 +138,33 @@ class CoverSpec:
     def on_stratum(self, s_point, a, k: FiniteField) -> bool:
         return holds_at(self.stratum, s_point, a, k)
 
+    def frobenius_map(self, s_point, k: FiniteField):
+        """a -> Frobenius element on the fiber (k, s_point), for a already on the
+        stratum, in stratum.free_vars order; only a Kummer zero is caught."""
+        self.admissible.require(k.q)
+        if self.kind == "trivial":
+            return lambda a: 0
+        if self.kind == "kummer":
+            value_at, n = _kummer_function(self, s_point, k), self.data["n"]
+
+            def kummer(a):
+                value = value_at(a)
+                if value == 0:
+                    raise PointOffStratum("Kummer function vanishes on the stratum")
+                return power_residue(value, n, k)
+
+            return kummer
+        if self.kind == "tabulated":
+            return lambda a: self.data["assign"](s_point, tuple(a), k)
+        if self.kind == "product":
+            embed, blocks, lo = self.data["embed_element"], [], 0
+            for cover in self.data["factors"]:
+                hi = lo + len(cover.stratum.free_vars)
+                blocks.append((cover.frobenius_map(s_point, k), lo, hi))
+                lo = hi
+            return lambda a: embed(*(frob(a[lo:hi]) for frob, lo, hi in blocks))
+        raise WitnessInvalid(f"unknown cover kind {self.kind!r}")
+
     def frobenius_element(self, s_point, a, k: FiniteField) -> int:
         """The distinguished generator of the decomposition class at a.
 
@@ -133,24 +172,7 @@ class CoverSpec:
         self.admissible.require(k.q)
         if not self.on_stratum(s_point, a, k):
             raise PointOffStratum(f"{a} does not satisfy {self.stratum}")
-        if self.kind == "trivial":
-            return 0
-        if self.kind == "kummer":
-            value = _kummer_value(self, s_point, a, k)
-            if value == 0:
-                raise PointOffStratum("Kummer function vanishes on the stratum")
-            return power_residue(value, self.data["n"], k)
-        if self.kind == "tabulated":
-            return self.data["assign"](s_point, tuple(a), k)
-        if self.kind == "product":
-            elements = []
-            offset = 0
-            for cover in self.data["factors"]:
-                width = len(cover.stratum.free_vars)
-                elements.append(cover.frobenius_element(s_point, a[offset:offset + width], k))
-                offset += width
-            return self.data["embed_element"](*elements)
-        raise WitnessInvalid(f"unknown cover kind {self.kind!r}")
+        return self.frobenius_map(s_point, k)(a)
 
     def decomposition_class(self, s_point, a, k: FiniteField) -> frozenset:
         """Cyclic subgroup generated by Frobenius (class = subgroup for abelian)."""
@@ -200,17 +222,22 @@ def fiber_decomposition_order(coeffs, k: FiniteField) -> int:
     return profile[0]
 
 
-def _kummer_value(cover: CoverSpec, s_point, a, k: FiniteField) -> int:
-    """f(s_point, a) for the Kummer function f of the cover."""
+def _kummer_function(cover: CoverSpec, s_point, k: FiniteField):
+    """a -> f(s_point, a) for the Kummer function f, compiled once per fiber."""
+    f, names = cover.data["f"].compile(k), cover.stratum.free_vars
     env = k.embed_point(s_point)
-    env.update(zip(cover.stratum.free_vars, a))
-    return cover.data["f"].compile(k)(env)
+
+    def value(a):
+        env.update(zip(names, a))
+        return f(env)
+
+    return value
 
 
 def kummer_fiber_coeffs(cover: CoverSpec, s_point, a, k: FiniteField):
     """Dense coefficients of u^n - f(a) over F_q, the factoring cross-check."""
     if cover.kind != "kummer":
         raise WitnessInvalid("fiber polynomial only defined for Kummer covers")
-    value = _kummer_value(cover, s_point, a, k)
+    value = _kummer_function(cover, s_point, k)(a)
     n = cover.data["n"]
     return [k.neg(value)] + [0] * (n - 1) + [1]

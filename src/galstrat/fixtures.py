@@ -87,16 +87,28 @@ def load_cover(doc, errors, where, base_params=()):
         if kind == "kummer":
             stratum = parse_formula(doc["stratum"], base_params=base_params)
             f = parse_poly(doc["f"])
+            n = doc["n"]
+            if type(n) is not int or n < 1:
+                raise SchemaError([f"kummer n must be an integer >= 1, got {n!r}"])
             adm = admissible if doc.get("admissible") else None
-            return CoverSpec.kummer(doc["n"], f, stratum, adm, label=doc.get("label"))
+            return CoverSpec.kummer(n, f, stratum, adm, label=doc.get("label"))
         if kind == "tabulated":
             group = load_group(doc["group"], errors, where)
             stratum = parse_formula(doc["stratum"], base_params=base_params)
             table = {}
             for q_str, points in doc["assign"].items():
                 for point_str, elem in points.items():
-                    point = tuple(int(x) for x in point_str.split(",")) if point_str else ()
-                    table[(int(q_str), point)] = elem
+                    try:
+                        point = tuple(int(x) for x in point_str.split(",")) if point_str else ()
+                        key = (int(q_str), point)
+                    except ValueError:
+                        raise SchemaError(
+                            [f"assign key {q_str!r}: {point_str!r} is not made of integers"]
+                        ) from None
+                    if type(elem) is not int or not 0 <= elem < group.n:
+                        raise SchemaError([f"assign {q_str!r}: {point_str!r} maps to {elem!r}, "
+                                           f"not a group element 0..{group.n - 1}"])
+                    table[key] = elem
 
             def assign(s_point, a, k, _table=table):
                 key = (k.q, tuple(a))
@@ -263,7 +275,11 @@ def load_fixture(path) -> FixtureDoc:
     if kind not in KINDS:
         errors.append(f"kind must be one of {KINDS}, got {kind!r}")
         raise SchemaError(errors)
-    admissible = AdmissiblePrimes.from_json(doc.get("admissible"))
+    try:
+        admissible = AdmissiblePrimes.from_json(doc.get("admissible"))
+    except SchemaError as exc:
+        errors.extend(exc.violations)
+        admissible = ALL_PRIMES
     sweep = load_sweep(doc.get("sweep"), errors)
     payload = {}
 
@@ -315,10 +331,22 @@ def load_fixture(path) -> FixtureDoc:
         except GalstratError as exc:
             errors.append(f"equations: {exc}")
             payload["equations"] = []
-        payload["x_vars"] = tuple(doc.get("x_vars", ())) or None
-        payload["base_params"] = tuple(doc.get("base_params", ()))
-        payload["level"] = doc.get("level", 0)
-        payload["depth_cap"] = doc.get("depth_cap", 2 * payload["level"] + 2)
+        x_vars = payload["x_vars"] = tuple(doc.get("x_vars", ())) or None
+        base_params = payload["base_params"] = tuple(doc.get("base_params", ()))
+        if x_vars is not None:
+            for i, eq in enumerate(payload["equations"]):
+                unknown = sorted(eq.used_variables() - set(x_vars) - set(base_params))
+                if unknown:
+                    errors.append(f"equations[{i}]: variables {unknown} are in neither "
+                                  "x_vars nor base_params")
+        level = payload["level"] = doc.get("level", 0)
+        if type(level) is not int or level < 0:
+            errors.append(f"level must be an integer >= 0, got {level!r}")
+        else:
+            depth_cap = payload["depth_cap"] = doc.get("depth_cap", 2 * level + 2)
+            if type(depth_cap) is not int or depth_cap < 2 * level + 2:
+                errors.append(f"depth_cap must be an integer >= 2*level + 2 = "
+                              f"{2 * level + 2}, got {depth_cap!r}")
 
     if errors:
         raise SchemaError(errors)

@@ -38,6 +38,13 @@ class JetIdeal:
         self.jet_vars = tuple(jet_var(x, j) for x in self.x_vars
                               for j in range(n + 1))
 
+    def truncate(self, m) -> "JetIdeal":
+        """The level-m ideal, m <= n: each equation's generators of t-degree <= m."""
+        if not 0 <= m <= self.n:
+            raise ValueError(f"need 0 <= m <= n, got m={m}, n={self.n}")
+        gens = [g for i in range(0, len(self.gens), self.n + 1) for g in self.gens[i:i + m + 1]]
+        return JetIdeal(m, self.x_vars, self.base_params, gens, self.source_eqs)
+
     def __repr__(self):
         return (f"JetIdeal(n={self.n}, vars={self.x_vars}, "
                 f"{len(self.gens)} generators)")
@@ -188,8 +195,8 @@ def igusa_series(eqs, N, mode, x_vars=None, base_params=(),
     """
     if mode[0] == "counts":
         _, k, s_point = mode
-        return [count_jets(jet_ideal(eqs, n, x_vars, base_params), s_point, k, budget)
-                for n in range(N + 1)]
+        top = jet_ideal(eqs, N, x_vars, base_params)
+        return [count_jets(top.truncate(n), s_point, k, budget) for n in range(N + 1)]
     if mode[0] == "smooth":
         _, cls, d = mode
         return [cls * lefschetz_power(n * d) for n in range(N + 1)]
@@ -238,8 +245,7 @@ def geometric_series_counts(eqs, N, k, s_point, depth_cap,
     """
     if depth_cap < 2 * N + 2:
         raise ValueError(f"depth_cap must be >= 2N+2 = {2 * N + 2}")
-    ideals = {m: jet_ideal(eqs, m, x_vars, base_params)
-              for m in range(1, depth_cap + 1)}
+    top = jet_ideal(eqs, depth_cap, x_vars, base_params)
     coefficients = []
     stabilization = []
     for n in range(N + 1):
@@ -247,7 +253,7 @@ def geometric_series_counts(eqs, N, k, s_point, depth_cap,
         prev_m = None
         found = False
         for m in range(n + 1, depth_cap + 1):
-            img = truncation_image(ideals[m], n, s_point, k, budget)
+            img = truncation_image(top.truncate(m), n, s_point, k, budget)
             if prev is not None and img == prev:
                 coefficients.append(len(prev))
                 stabilization.append(prev_m)

@@ -80,11 +80,12 @@ class GaloisStratification:
         locate(a) is the index of the unique stratum holding the ambient
         point a; member(a) says whether a lies in the Galois set.  The base
         point is embedded and each stratum formula compiled once per fiber.
-        Only a stratum with a non-empty domain asks its cover for the
-        decomposition class, at a read in the stratum's free-variable order.
+        Only a stratum with a non-empty domain builds its cover's Frobenius
+        map, when its first point arrives, and reads a in its free-variable order.
         """
         env = k.embed_point(s_point)
         tests = [cover.stratum.compile(k) for cover, _ in self.strata]
+        maps = [None] * len(self.strata)
         coords, strata, slots = self.coords, self.strata, self._slots
 
         def locate(a):
@@ -99,8 +100,10 @@ class GaloisStratification:
             cover, con = strata[i]
             if con.is_empty():
                 return False
-            point = tuple(a[j] for j in slots[i])
-            return cover.decomposition_class(s_point, point, k) in con
+            if maps[i] is None:
+                maps[i] = cover.frobenius_map(s_point, k)
+            element = maps[i](tuple(a[j] for j in slots[i]))
+            return cover.group.cyclic_subgroup(element) in con
 
         return locate, member
 

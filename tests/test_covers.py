@@ -1,5 +1,7 @@
 """Cover semantics: decomposition classes, factoring cross-check, density."""
 
+import itertools
+
 import pytest
 
 from galstrat.covers import (
@@ -17,7 +19,7 @@ from galstrat.errors import (
 from galstrat.fields import is_prime, make_field
 from galstrat.formulas import eval_formula, parse_formula
 from galstrat.groups import ConjDomain, cyclic_group, trivial_group
-from galstrat.stratifications import GaloisStratification
+from galstrat.stratifications import GaloisStratification, product
 
 
 def admissible_orders(n, bound):
@@ -145,3 +147,49 @@ def test_kummer_stratum_entails_nonvanishing():
     k5 = make_field(5)
     assert not cover.on_stratum({}, (0,), k5)  # f != 0 was conjoined
     assert cover.on_stratum({}, (2,), k5)
+
+
+# -- per-fiber Frobenius maps ------------------------------------------------------------
+
+def kummer_yx(n):
+    """u^n = x*y + 1 over y != 0; the stratum names y first, then x."""
+    return CoverSpec.kummer(n, "x*y + 1", "~(y = 0)")
+
+
+def cube_class_cover():
+    z3 = cyclic_group(3)
+    return CoverSpec.tabulated(z3, parse_formula("z = z", free_vars=("z",)),
+                               lambda s_point, a, k: a[0] * a[0] % 3)
+
+
+def product_cover():
+    """The cover of the product of kummer_yx(4) over (x, y) with the tabulated one over z."""
+    left = GaloisStratification(("x", "y"), [(kummer_yx(4), ConjDomain.empty(cyclic_group(4)))])
+    right = GaloisStratification(("z",), [(cube_class_cover(), ConjDomain.empty(cyclic_group(3)))])
+    [(cover, _)] = product(left, right).strata
+    return cover
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (13, 1), (5, 2), (29, 1)])
+@pytest.mark.parametrize("make_cover", [
+    pytest.param(lambda: kummer_yx(2), id="kummer2"),
+    pytest.param(lambda: kummer_yx(4), id="kummer4"),
+    pytest.param(cube_class_cover, id="tabulated"),
+    pytest.param(product_cover, id="product"),
+])
+def test_frobenius_map_matches_frobenius_element(make_cover, p, e):
+    cover, k = make_cover(), make_field(p, e)
+    frob = cover.frobenius_map({}, k)
+    points = [a for a in itertools.product(range(k.q), repeat=len(cover.stratum.free_vars))
+              if cover.on_stratum({}, a, k)]
+    assert points
+    for a in points:
+        assert frob(a) == cover.frobenius_element({}, a, k), a
+
+
+def test_frobenius_map_checks_admissibility_and_kummer_zeros():
+    with pytest.raises(InadmissiblePrime):
+        kummer_yx(4).frobenius_map({}, make_field(7))
+    frob = kummer_yx(2).frobenius_map({}, make_field(5))
+    with pytest.raises(PointOffStratum):
+        frob((1, 4))  # y = 1, x = 4: x*y + 1 = 0

@@ -205,3 +205,77 @@ def test_cli_unwritable_out_is_io_error(tmp_path, capsys):
     assert code == 2
     assert report["error"] == "IoError"
     assert not out_path.exists()
+
+
+# -- malformed jets, admissible and cover documents ---------------------------------------
+
+def jets_doc(**changes):
+    doc = json.loads((FIXTURES / "xy_jets.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+def strat_doc(admissible=None, cover_admissible=None, kummer_n=2):
+    doc = json.loads((FIXTURES / "square_indicator_strat.json").read_text())
+    strata = doc["stratification"]["strata"]
+    strata[0]["cover"]["n"] = kummer_n
+    if admissible is not None:
+        doc["admissible"] = admissible
+    if cover_admissible is not None:
+        strata[1]["cover"]["admissible"] = cover_admissible
+    return doc
+
+
+def tabulated_doc(assign, q="5"):
+    return {
+        "version": 1,
+        "kind": "stratification",
+        "stratification": {"coords": ["x"], "strata": [
+            {"cover": {"kind": "tabulated", "group": {"cyclic": 2}, "stratum": "x = x",
+                       "assign": {q: assign}},
+             "con": [[0]]},
+        ]},
+        "sweep": {"primes": [5], "s_points": [{}]},
+    }
+
+
+SQUARE_CLASSES = {"0": 0, "1": 0, "2": 1, "3": 1, "4": 0}
+
+MALFORMED = [
+    pytest.param("jets", jets_doc(level=-1), "level", id="jets_level_negative"),
+    pytest.param("jets", jets_doc(level="2"), "level", id="jets_level_string"),
+    pytest.param("jets", jets_doc(level=1.5), "level", id="jets_level_float"),
+    pytest.param("jets", jets_doc(depth_cap=5), "depth_cap", id="jets_depth_cap_below_2n_plus_2"),
+    pytest.param("jets", jets_doc(x_vars=["x"]), "['y']", id="jets_unknown_variable"),
+    pytest.param("stratify", strat_doc(admissible={"mod": [[0, 1]]}), "mod",
+                 id="admissible_modulus_zero"),
+    pytest.param("stratify", strat_doc(admissible={"mod": [[2]]}), "mod",
+                 id="admissible_pair_too_short"),
+    pytest.param("stratify", strat_doc(admissible={"exclude": ["a"]}), "exclude",
+                 id="admissible_exclude_not_integers"),
+    pytest.param("stratify", strat_doc(cover_admissible={"mod": [[0, 1]]}), "mod",
+                 id="cover_admissible_modulus_zero"),
+    pytest.param("stratify", strat_doc(cover_admissible={"mod": [[2]]}), "mod",
+                 id="cover_admissible_pair_too_short"),
+    pytest.param("stratify", strat_doc(cover_admissible={"exclude": ["a"]}), "exclude",
+                 id="cover_admissible_exclude_not_integers"),
+    pytest.param("stratify", strat_doc(kummer_n=0), "kummer n", id="kummer_n_zero"),
+    pytest.param("stratify", strat_doc(kummer_n="2"), "kummer n", id="kummer_n_string"),
+    pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "a": 0}), "'a'",
+                 id="tabulated_point_key_not_integer"),
+    pytest.param("stratify", tabulated_doc(SQUARE_CLASSES, q="five"), "'five'",
+                 id="tabulated_field_key_not_integer"),
+    pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": 2}), "group element",
+                 id="tabulated_element_out_of_range"),
+    pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": "1"}), "group element",
+                 id="tabulated_element_not_integer"),
+]
+
+
+@pytest.mark.parametrize("command,doc,needle", MALFORMED)
+def test_cli_malformed_document_schema_error(command, doc, needle, tmp_path, capsys):
+    code = main([command, write(tmp_path, doc)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "SchemaError"
+    assert any(needle in line for line in report["detail"]), report["detail"]

@@ -2,10 +2,13 @@
 images, Poincare series, empirical Greenberg constants, base change."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from galstrat import cli, jets
 from galstrat.errors import BudgetExceeded
 from galstrat.fields import make_field
 from galstrat.jets import (
@@ -22,6 +25,7 @@ from galstrat.motives import CountTable, MotiveClass, lefschetz_power, specializ
 from galstrat.polynomials import Poly, parse_poly
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # -- independent substitution oracle ------------------------------------------------
@@ -217,3 +221,51 @@ def test_arithmetic_series_reuses_chi():
             1: QuotientClassData(one, {frozenset({0}): MotiveClass.one()})}
     series = arithmetic_series([(level0, data)])
     assert series == [MotiveClass.one() + MotiveClass.generator("Gm")]
+
+
+# -- one expansion serves every level ---------------------------------------------------
+
+TRUNCATION_CASES = [
+    pytest.param(["x*y"], None, (), id="xy"),
+    pytest.param(["x^2 - y^3"], None, (), id="cusp"),
+    pytest.param(["y^2 - x^2 - x^3"], None, (), id="node"),
+    pytest.param(["y - x^2"], None, (), id="smooth"),
+    pytest.param(["x*y - 1", "x^2 + y^2 - 2"], None, (), id="two_equations"),
+    pytest.param(["x*y - z", "z*x^2 + y"], ("x", "y"), ("z",), id="base_family"),
+]
+
+
+@pytest.mark.parametrize("texts,x_vars,base_params", TRUNCATION_CASES)
+def test_truncate_matches_direct_expansion(texts, x_vars, base_params):
+    eqs = [parse_poly(t) for t in texts]
+    top = jet_ideal(eqs, 6, x_vars, base_params)
+    for m in range(7):
+        direct = jet_ideal(eqs, m, x_vars, base_params)
+        cut = top.truncate(m)
+        assert cut.n == direct.n == m
+        assert cut.jet_vars == direct.jet_vars
+        assert (cut.x_vars, cut.base_params) == (direct.x_vars, direct.base_params)
+        assert list(cut.gens) == list(direct.gens)
+
+
+def test_truncate_rejects_levels_outside_the_ideal():
+    top = jet_ideal([parse_poly("x*y")], 2)
+    for m in (-1, 3):
+        with pytest.raises(ValueError):
+            top.truncate(m)
+
+
+def test_cli_jets_expands_each_system_once(monkeypatch, capsys):
+    """One expansion for the counts and one for the images, per fiber."""
+    calls = []
+    original = jets.jet_ideal
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "jet_ideal", counting)
+    assert cli.main(["jets", str(FIXTURES / "xy_jets.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["results"]) == 2
+    assert calls == [2, 6, 2, 6]  # level 2, depth_cap 6, over F_2 and F_3

@@ -7,16 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from galstrat import covers
 from galstrat.cli import main
 from galstrat.covers import CoverSpec
 from galstrat.errors import (
     CommonRefinementRequired,
+    InadmissiblePrime,
     MissingDatum,
     PartitionViolation,
     SemanticMismatch,
     VariableMismatch,
 )
 from galstrat.fields import make_field
+from galstrat.fixtures import load_fixture
 from galstrat.formulas import parse_formula
 from galstrat.groups import (
     ConjDomain,
@@ -724,3 +727,34 @@ def test_cli_eliminate_classifies_each_fiber_twice(monkeypatch, capsys):
     assert fibers
     assert len(calls) == 2 * len(fibers)
     assert all(calls.count(c) == 2 for c in calls)
+
+
+# -- stratum membership is decided once ---------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_fiber_places_points_without_rechecking_the_stratum(monkeypatch):
+    calls = []
+    holds_at, on_stratum = covers.holds_at, CoverSpec.on_stratum
+    monkeypatch.setattr(covers, "holds_at",
+                        lambda *args: calls.append("holds_at") or holds_at(*args))
+    monkeypatch.setattr(CoverSpec, "on_stratum",
+                        lambda *args: calls.append("on_stratum") or on_stratum(*args))
+    strat = load_fixture(FIXTURES / "square_indicator_strat.json").payload["stratification"]
+    squares = {(x * x % 13,) for x in range(1, 13)}
+    assert strat.galois_set({}, F13).tuples == squares
+    assert calls == []
+
+
+def test_frobenius_maps_are_built_when_a_point_arrives():
+    """An inadmissible cover raises only for a fiber where one of its points lies."""
+    quartic = CoverSpec.kummer(4, "x", "x^2 = 3")
+    rest = CoverSpec.trivial(parse_formula("~(x^2 = 3)"))
+    strat = GaloisStratification(("x",), [
+        (quartic, ConjDomain.full(Z4)),
+        (rest, ConjDomain.full(ONE)),
+    ])
+    assert len(strat.galois_set({}, make_field(7))) == 7  # 3 is no square mod 7
+    with pytest.raises(InadmissiblePrime):
+        strat.galois_set({}, make_field(11))  # 5^2 = 3 mod 11, and 11 != 1 mod 4
