@@ -14,11 +14,11 @@ import json
 import math
 import sys
 
+from . import jets
 from .chi import chi_stratification, verify_specialization
 from .errors import GalstratError, IoError, SchemaError
 from .fixtures import load_fixture, sweep_pairs
 from .formulas import bijection_fiber_report, eval_formula
-from .jets import geometric_series_counts, igusa_series
 from .stratifications import GaloisFormula, eliminate_existential, validate_elimination
 
 COMMANDS = ("eval", "bijection", "stratify", "eliminate", "chi", "jets")
@@ -150,11 +150,12 @@ def run(command, fixture, options) -> dict:
         base_params = fixture.payload["base_params"]
         depth_cap = fixture.payload["depth_cap"]
         pairs = sweep_pairs(sweep, base_params, fixture.admissible)
+        # one expansion serves every fiber; the depth_cap ideal contains every level
+        top = jets.jet_ideal(eqs, depth_cap, x_vars, base_params)
         for k, s_point in pairs:
-            igusa = igusa_series(eqs, level, ("counts", k, s_point),
-                                 x_vars, base_params, budget)
-            geom = geometric_series_counts(eqs, level, k, s_point, depth_cap,
-                                           x_vars, base_params, budget)
+            tower = jets.JetTower(top, s_point, k, budget)
+            igusa = [tower.count(n) for n in range(level + 1)]
+            geom = tower.geometric_series(level)
             report["results"].append({
                 "q": k.q, "s_point": _fiber_key(s_point),
                 "igusa": igusa,

@@ -97,6 +97,9 @@ def load_cover(doc, errors, where, base_params=()):
             stratum = parse_formula(doc["stratum"], base_params=base_params)
             table = {}
             for q_str, points in doc["assign"].items():
+                if not isinstance(points, dict):
+                    raise SchemaError([f"assign {q_str!r} must be an object from points "
+                                       f"to group elements, got {points!r}"])
                 for point_str, elem in points.items():
                     try:
                         point = tuple(int(x) for x in point_str.split(",")) if point_str else ()
@@ -235,6 +238,10 @@ def load_sweep(doc, errors, where="sweep"):
     if not primes:
         errors.append(f"{where}: no primes declared (the engine never picks primes)")
     s_points = doc.get("s_points", [{}])
+    if s_points not in ("all", "nonzero") and not (
+            isinstance(s_points, list) and all(isinstance(s, dict) for s in s_points)):
+        errors.append(f"{where}: s_points must be \"all\", \"nonzero\" or a list of "
+                      f"objects, got {s_points!r}")
     return {"primes": primes, "s_points": s_points}
 
 
@@ -326,11 +333,15 @@ def load_fixture(path) -> FixtureDoc:
         payload["counts"] = CountTable(doc.get("counts", {}))
 
     elif kind == "jets":
-        try:
-            payload["equations"] = [parse_poly(e) for e in doc.get("equations", ())]
-        except GalstratError as exc:
-            errors.append(f"equations: {exc}")
-            payload["equations"] = []
+        texts = doc.get("equations", [])
+        payload["equations"] = []
+        if not (isinstance(texts, list) and all(isinstance(e, str) for e in texts)):
+            errors.append(f"equations must be a list of strings, got {texts!r}")
+        else:
+            try:
+                payload["equations"] = [parse_poly(e) for e in texts]
+            except GalstratError as exc:
+                errors.append(f"equations: {exc}")
         x_vars = payload["x_vars"] = tuple(doc.get("x_vars", ())) or None
         base_params = payload["base_params"] = tuple(doc.get("base_params", ()))
         if x_vars is not None:

@@ -4,17 +4,20 @@ images, and the three Poincare series.
 An equation system in variables x_1..x_m (plus base parameters, which are
 t-constant) is expanded by substituting x_i -> sum_j x_i|j t^j and reading
 off the t-coefficients 0..n; those coefficients, as polynomials in the jet
-coordinates, generate the jet ideal.  Counting and truncation images are
-exhaustive over F_q.  Greenberg data is empirical: an image sequence is
-declared stable at the first plateau of two consecutive equal images, and
-(c, e) is the least linear bound on the stabilization levels, minimizing
-the offset e first and then the slope c.
+coordinates, generate the jet ideal.  Counts and truncation images are
+exact over F_q.  `JetTower` computes them level by level with a Hensel
+split; the exhaustive search behind `count_jets` and `truncation_image` is
+the reference it is checked against.  Greenberg data is empirical: an image
+sequence is declared stable at the first plateau of two consecutive equal
+images, and (c, e) is the least linear bound on the stabilization levels,
+minimizing the offset e first and then the slope c.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import BudgetExceeded, NoStabilization
 from .fields import FiniteField
@@ -51,28 +54,31 @@ class JetIdeal:
 
 
 def _series_mul(a, b, n):
-    out = [Poly.constant(0) for _ in range(n + 1)]
+    """Product of two t-series truncated at t^n; each coefficient is a
+    {exponent vector: coefficient} dict over one fixed variable tuple."""
+    out = [{} for _ in range(n + 1)]
     for i, ai in enumerate(a):
-        if ai.is_zero():
+        if not ai:
             continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            if bj.is_zero():
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if not bj:
                 continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_pow(a, e, n):
-    out = [Poly.constant(1)] + [Poly.constant(0)] * n
-    for _ in range(e):
-        out = _series_mul(out, a, n)
+            acc = out[i + j]
+            for e1, c1 in ai.items():
+                for e2, c2 in bj.items():
+                    expo = tuple(map(add, e1, e2))
+                    acc[expo] = acc.get(expo, 0) + c1 * c2
     return out
 
 
 def jet_ideal(eqs, n, x_vars=None, base_params=()) -> JetIdeal:
-    """Generators of the level-n jet ideal, ordered by (equation, t-degree)."""
+    """Generators of the level-n jet ideal, ordered by (equation, t-degree).
+
+    The expansion runs on exponent dicts over one variable tuple (jet
+    variables, then base parameters), with each variable's series powers
+    cached, and builds one Poly per generator.
+    """
     if n < 0:
         raise ValueError("jet level must be >= 0")
     base_params = tuple(base_params)
@@ -84,24 +90,44 @@ def jet_ideal(eqs, n, x_vars=None, base_params=()) -> JetIdeal:
                     seen.append(v)
         x_vars = tuple(seen)
     x_vars = tuple(x_vars)
-    series_of = {}
-    for x in x_vars:
-        series_of[x] = [Poly.variable(jet_var(x, j)) for j in range(n + 1)]
+    variables = tuple(dict.fromkeys(
+        tuple(jet_var(x, j) for x in x_vars for j in range(n + 1)) + base_params))
+    pos = {v: i for i, v in enumerate(variables)}
+    zero = (0,) * len(variables)
+
+    def monomial(v):
+        expo = list(zero)
+        expo[pos[v]] = 1
+        return {tuple(expo): 1}
+
+    series_of = {x: [monomial(jet_var(x, j)) for j in range(n + 1)] for x in x_vars}
     for s in base_params:
-        series_of[s] = [Poly.variable(s)] + [Poly.constant(0)] * n
+        series_of[s] = [monomial(s)] + [{} for _ in range(n)]
+    powers = {}  # (variable, e) -> series of variable^e
+
+    def power(v, e):
+        if e == 1:
+            return series_of[v]
+        key = (v, e)
+        if key not in powers:
+            powers[key] = _series_mul(power(v, e - 1), series_of[v], n)
+        return powers[key]
+
     gens = []
     for eq in eqs:
-        total = [Poly.constant(0) for _ in range(n + 1)]
+        total = [{} for _ in range(n + 1)]
         for expo, coef in sorted(eq.terms.items()):
-            term = [Poly.constant(coef)] + [Poly.constant(0)] * n
+            term = [{zero: 1}] + [{} for _ in range(n)]
             for v, e in zip(eq.variables, expo):
                 if not e:
                     continue
                 if v not in series_of:
                     raise ValueError(f"equation uses unknown variable {v}")
-                term = _series_mul(term, _series_pow(series_of[v], e, n), n)
-            total = [a + b for a, b in zip(total, term)]
-        gens.extend(total)
+                term = _series_mul(term, power(v, e), n)
+            for acc, part in zip(total, term):
+                for mono, c in part.items():
+                    acc[mono] = acc.get(mono, 0) + coef * c
+        gens.extend(Poly(variables, terms) for terms in total)
     return JetIdeal(n, x_vars, base_params, gens, eqs)
 
 
@@ -185,6 +211,215 @@ def truncation_image(ideal: JetIdeal, n: int, s_point, k: FiniteField,
     return frozenset(image)
 
 
+def _linear_solver(rows, k: FiniteField, width):
+    """Rank of the matrix `rows` over F_q and a function b -> every x with
+    rows * x = b (an empty tuple when there is none).
+
+    One Gauss-Jordan pass on [rows | I] gives the pivot columns and the
+    row operations T: rows * x = b is solvable exactly when (T b) vanishes
+    below the rank.  All q^(width - rank) kernel vectors are listed once, so
+    each solve is a few dot products.
+    """
+    height = len(rows)
+    aug = [list(row) + [int(i == e) for i in range(height)] for e, row in enumerate(rows)]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, height) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = k.inv(aug[r][col])
+        aug[r] = [k.mul(inv, a) for a in aug[r]]
+        for i in range(height):
+            f = aug[i][col]
+            if i != r and f:
+                aug[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+    rank = len(pivots)
+    transform = [row[width:] for row in aug]
+    kernel = [(0,) * width]
+    for free in (c for c in range(width) if c not in pivots):
+        basis = [0] * width
+        basis[free] = 1
+        for i, col in enumerate(pivots):
+            basis[col] = k.neg(aug[i][free])
+        kernel = [tuple(k.add(u, k.mul(c, v)) for u, v in zip(vec, basis))
+                  for vec in kernel for c in range(k.q)]
+
+    def dot(row, b):
+        acc = 0
+        for a, x in zip(row, b):
+            if a and x:
+                acc = k.add(acc, k.mul(a, x))
+        return acc
+
+    def solve(b):
+        if not any(b):
+            return kernel
+        y = [dot(row, b) for row in transform]
+        if any(y[rank:]):
+            return ()
+        base = [0] * width
+        for col, v in zip(pivots, y):
+            base[col] = v
+        return [tuple(k.add(u, v) for u, v in zip(base, vec)) for vec in kernel]
+
+    return rank, solve
+
+
+class JetTower:
+    """Exact jet counts and truncation-image sizes of one fiber, built level
+    by level with a Hensel split.
+
+    For m >= 1 the t^m generator of each equation is
+    J(x_0) * x_m + c_m(x_0..x_(m-1)), with J the Jacobian at x_0.  A point
+    x_0 where J has full row rank E (the number of equations) has exactly
+    q^((|x| - E) * n) level-n jets, and each of them lifts to every level,
+    so those points are only counted.  The other points are the roots of
+    an explicit tree: a level-m node is a level-m jet over such a point,
+    and its children solve J(x_0) * x_(m+1) = -c_(m+1).  `count(n)` and
+    `image_size(n, m)` equal `count_jets` and `len(truncation_image)` on the
+    same levels and run the same budget check, charged at (level + 1) * |x|
+    coordinates.
+    """
+
+    def __init__(self, ideal: JetIdeal, s_point, k: FiniteField,
+                 budget: float = DEFAULT_BUDGET):
+        self.ideal = ideal
+        self.k = k
+        self.budget = budget
+        self._s_point = s_point
+        self._env = k.embed_point(s_point)
+        self._width = len(ideal.x_vars)
+        self._equations = len(ideal.gens) // (ideal.n + 1)
+        self._smooth = 0       # full-row-rank points x_0
+        self._solvers = []     # per root: solve(b) for the Jacobian at x_0
+        self._vectors = []     # per level m: each node's coordinates x_m
+        self._parents = []     # per level m >= 1: each node's parent index
+
+    @property
+    def nodes_per_level(self):
+        """Nodes enumerated at each level built so far (deterministic)."""
+        return [len(vectors) for vectors in self._vectors]
+
+    def _names(self, m):
+        return [jet_var(x, m) for x in self.ideal.x_vars]
+
+    def _generators(self, m):
+        step = self.ideal.n + 1
+        return [self.ideal.gens[e * step + m].compile(self.k)
+                for e in range(self._equations)]
+
+    def _build_root_level(self):
+        ideal, k, env = self.ideal, self.k, self._env
+        level0 = _solutions(ideal.truncate(0), self._s_point, k, self.budget)
+        roots, solvers, smooth = [], [], 0
+        if ideal.n == 0:
+            roots.extend(level0)
+        else:
+            names0, names1 = self._names(0), self._names(1)
+            env.update(dict.fromkeys(names1, 0))
+            gens = self._generators(1)
+            for x0 in level0:
+                env.update(zip(names0, x0))
+                jacobian = [[0] * self._width for _ in gens]
+                for i, name in enumerate(names1):
+                    env[name] = 1
+                    for e, g in enumerate(gens):
+                        jacobian[e][i] = g(env)
+                    env[name] = 0
+                rank, solve = _linear_solver(jacobian, k, self._width)
+                if rank == self._equations:
+                    smooth += 1
+                else:
+                    roots.append(x0)
+                    solvers.append(solve)
+        self._smooth, self._solvers = smooth, solvers
+        self._vectors.append(roots)
+        self._parents.append([])
+
+    def _build_next_level(self):
+        """Lift every node of the top level.  Nodes are stored in tree order,
+        so walking up from each node rewrites only the ancestors that differ
+        from the previous node's; current[0] is then the node's root."""
+        m = len(self._vectors)
+        env, vectors, parents = self._env, self._vectors, self._parents
+        names = [self._names(j) for j in range(m + 1)]
+        env.update(dict.fromkeys(names[m], 0))
+        gens = self._generators(m)
+        neg = self.k.neg
+        current = [-1] * m
+        lifted, lifted_parents = [], []
+        for index in range(len(vectors[m - 1])):
+            j, i = m - 1, index
+            while j >= 0 and current[j] != i:
+                current[j] = i
+                env.update(zip(names[j], vectors[j][i]))
+                if j:
+                    i = parents[j][i]
+                j -= 1
+            lifts = self._solvers[current[0]]([neg(g(env)) for g in gens])
+            lifted.extend(lifts)
+            lifted_parents.extend([index] * len(lifts))
+        vectors.append(lifted)
+        parents.append(lifted_parents)
+
+    def _reach(self, m):
+        _check_budget((m + 1) * self._width, self.k, self.budget)
+        if not self._vectors:
+            self._build_root_level()
+        while len(self._vectors) <= m:
+            self._build_next_level()
+
+    def _smooth_jets(self, n):
+        if not self._smooth:
+            return 0
+        return self._smooth * self.k.q ** ((self._width - self._equations) * n)
+
+    def count(self, n) -> int:
+        """Number of level-n jets, n <= ideal.n."""
+        if not 0 <= n <= self.ideal.n:
+            raise ValueError(f"need 0 <= n <= {self.ideal.n}, got n={n}")
+        self._reach(n)
+        return self._smooth_jets(n) + len(self._vectors[n])
+
+    def image_size(self, n, m) -> int:
+        """Size of the projection of the level-m jets onto levels <= n."""
+        if not 0 <= n < m <= self.ideal.n:
+            raise ValueError(f"need 0 <= n < m <= {self.ideal.n}, got n={n}, m={m}")
+        self._reach(m)
+        ancestors = set(self._parents[m])
+        for j in range(m - 1, n, -1):
+            parents = self._parents[j]
+            ancestors = {parents[i] for i in ancestors}
+        return self._smooth_jets(n) + len(ancestors)
+
+    def geometric_series(self, N) -> "GeometricSeries":
+        """Stable image sizes for n = 0..N with the tower's level as depth cap.
+
+        For each n the images of levels m = n+1, n+2, ... shrink, so two
+        consecutive images are equal exactly when their sizes are; the
+        first such plateau gives the coefficient and the stabilization level.
+        """
+        depth_cap = self.ideal.n
+        coefficients = []
+        stabilization = []
+        for n in range(N + 1):
+            prev = None
+            for m in range(n + 1, depth_cap + 1):
+                size = self.image_size(n, m)
+                if size == prev:
+                    coefficients.append(size)
+                    stabilization.append(m - 1)
+                    break
+                prev = size
+            else:
+                raise NoStabilization(n, depth_cap)
+        c, e = _fit_linear_bound(stabilization)
+        return GeometricSeries(coefficients, stabilization, c, e)
+
+
 def igusa_series(eqs, N, mode, x_vars=None, base_params=(),
                  budget: float = DEFAULT_BUDGET):
     """Coefficients 0..N of the jet-class generating series.
@@ -195,8 +430,8 @@ def igusa_series(eqs, N, mode, x_vars=None, base_params=(),
     """
     if mode[0] == "counts":
         _, k, s_point = mode
-        top = jet_ideal(eqs, N, x_vars, base_params)
-        return [count_jets(top.truncate(n), s_point, k, budget) for n in range(N + 1)]
+        tower = JetTower(jet_ideal(eqs, N, x_vars, base_params), s_point, k, budget)
+        return [tower.count(n) for n in range(N + 1)]
     if mode[0] == "smooth":
         _, cls, d = mode
         return [cls * lefschetz_power(n * d) for n in range(N + 1)]
@@ -246,24 +481,7 @@ def geometric_series_counts(eqs, N, k, s_point, depth_cap,
     if depth_cap < 2 * N + 2:
         raise ValueError(f"depth_cap must be >= 2N+2 = {2 * N + 2}")
     top = jet_ideal(eqs, depth_cap, x_vars, base_params)
-    coefficients = []
-    stabilization = []
-    for n in range(N + 1):
-        prev = None
-        prev_m = None
-        found = False
-        for m in range(n + 1, depth_cap + 1):
-            img = truncation_image(top.truncate(m), n, s_point, k, budget)
-            if prev is not None and img == prev:
-                coefficients.append(len(prev))
-                stabilization.append(prev_m)
-                found = True
-                break
-            prev, prev_m = img, m
-        if not found:
-            raise NoStabilization(n, depth_cap)
-    c, e = _fit_linear_bound(stabilization)
-    return GeometricSeries(coefficients, stabilization, c, e)
+    return JetTower(top, s_point, k, budget).geometric_series(N)
 
 
 def arithmetic_series(entries) -> list:

@@ -269,6 +269,11 @@ MALFORMED = [
                  id="tabulated_element_out_of_range"),
     pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": "1"}), "group element",
                  id="tabulated_element_not_integer"),
+    pytest.param("stratify", tabulated_doc([0, 0, 1, 1, 0]), "assign '5'",
+                 id="tabulated_field_entry_not_an_object"),
+    pytest.param("stratify", {**strat_doc(), "sweep": {"primes": [5], "s_points": "some"}},
+                 "s_points", id="sweep_s_points_unknown_word"),
+    pytest.param("jets", jets_doc(equations=[3]), "equations", id="jets_equation_not_a_string"),
 ]
 
 

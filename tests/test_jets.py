@@ -7,12 +7,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galstrat import cli, jets
-from galstrat.errors import BudgetExceeded
+from galstrat.errors import BudgetExceeded, NoStabilization
 from galstrat.fields import make_field
 from galstrat.jets import (
     GeometricSeries,
+    JetTower,
     arithmetic_series,
     count_jets,
     geometric_series_counts,
@@ -24,7 +27,7 @@ from galstrat.jets import (
 from galstrat.motives import CountTable, MotiveClass, lefschetz_power, specialize
 from galstrat.polynomials import Poly, parse_poly
 
-F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -256,7 +259,7 @@ def test_truncate_rejects_levels_outside_the_ideal():
 
 
 def test_cli_jets_expands_each_system_once(monkeypatch, capsys):
-    """One expansion for the counts and one for the images, per fiber."""
+    """One expansion per op, at depth_cap, shared by every fiber and both series."""
     calls = []
     original = jets.jet_ideal
 
@@ -268,4 +271,162 @@ def test_cli_jets_expands_each_system_once(monkeypatch, capsys):
     assert cli.main(["jets", str(FIXTURES / "xy_jets.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["results"]) == 2
-    assert calls == [2, 6, 2, 6]  # level 2, depth_cap 6, over F_2 and F_3
+    assert calls == [6]  # depth_cap 6, for F_2 and F_3 together
+
+
+# -- the expansion against substitution -------------------------------------------------
+
+def expand_by_substitution(eqs, n, x_vars):
+    """Substitute x -> sum_j x_j*t^j with Poly.substitute and read off the
+    t^0..t^n coefficients of each equation; base parameters stay constants."""
+    t = Poly.variable("t")
+    series = {x: sum((Poly.variable(f"{x}_{j}") * t ** j for j in range(n + 1)),
+                     Poly.constant(0))
+              for x in x_vars}
+    gens = []
+    for eq in eqs:
+        expanded = eq.substitute(series)
+        if "t" not in expanded.variables:
+            expanded = expanded.with_variables(expanded.variables + ("t",))
+        at = expanded.variables.index("t")
+        rest = expanded.variables[:at] + expanded.variables[at + 1:]
+        coefficients = [{} for _ in range(n + 1)]
+        for expo, coef in expanded.terms.items():
+            if expo[at] <= n:
+                coefficients[expo[at]][expo[:at] + expo[at + 1:]] = coef
+        gens.extend(Poly(rest, terms) for terms in coefficients)
+    return gens
+
+
+EXPANSION_CASES = [
+    (["x*y"], ("x", "y"), ()),
+    (["x^2 - y^3"], ("x", "y"), ()),
+    (["(y + 5)^2 - (x + 7)^2 - (x + 7)^3"], ("x", "y"), ()),
+    (["x*y - 1", "x^2 + y^2 - 2"], ("x", "y"), ()),
+    (["x*y - z", "z*x^2 + y"], ("x", "y"), ("z",)),
+    (["1/3*x^3 - 2/5*x*y + 7"], ("x", "y"), ()),
+    (["3"], ("x",), ()),
+]
+
+
+@pytest.mark.parametrize("texts,x_vars,base_params", EXPANSION_CASES)
+def test_jet_ideal_matches_substitution(texts, x_vars, base_params):
+    eqs = [parse_poly(t) for t in texts]
+    for n in range(5):
+        got = jet_ideal(eqs, n, x_vars, base_params).gens
+        assert list(got) == expand_by_substitution(eqs, n, x_vars)
+
+
+# -- the Hensel-split tower against the exhaustive search -----------------------------------
+
+def dfs_geometric(top, N, k, s_point):
+    """Plateau search over whole truncation images, as one op did before the tower."""
+    coefficients, stabilization = [], []
+    for n in range(N + 1):
+        prev = None
+        for m in range(n + 1, top.n + 1):
+            img = truncation_image(top.truncate(m), n, s_point, k)
+            if prev is not None and img == prev:
+                coefficients.append(len(prev))
+                stabilization.append(m - 1)
+                break
+            prev = img
+        else:
+            raise NoStabilization(n, top.n)
+    return coefficients, stabilization, jets._fit_linear_bound(stabilization)
+
+
+def tower_geometric(top, N, k, s_point):
+    gs = JetTower(top, s_point, k).geometric_series(N)
+    return gs.coefficients, gs.stabilization, (gs.c, gs.e)
+
+
+def assert_tower_matches_search(eqs, x_vars, base_params, k, s_point, top_level, N):
+    top = jet_ideal(eqs, top_level, x_vars, base_params)
+    tower = JetTower(top, s_point, k, budget=40.0)
+    for n in range(top_level + 1):
+        assert tower.count(n) == count_jets(top.truncate(n), s_point, k, 40.0), n
+    for m in range(1, top_level + 1):
+        for n in range(m):
+            image = truncation_image(top.truncate(m), n, s_point, k, 40.0)
+            assert tower.image_size(n, m) == len(image), (n, m)
+    assert tower_geometric(top, N, k, s_point) == dfs_geometric(top, N, k, s_point)
+
+
+ORACLE_FIELDS = [pytest.param(k, id=f"F{k.q}") for k in (F2, F3, F4, F5)]
+
+ORACLE_CASES = TRUNCATION_CASES + [
+    pytest.param(["x^2"], None, (), id="nonreduced"),
+    pytest.param(["x*y", "x + y", "x - y"], None, (), id="more_equations_than_variables"),
+]
+
+
+@pytest.mark.parametrize("k", ORACLE_FIELDS)
+@pytest.mark.parametrize("texts,x_vars,base_params", ORACLE_CASES)
+def test_tower_matches_search(texts, x_vars, base_params, k):
+    eqs = [parse_poly(t) for t in texts]
+    top_level, N = (4, 1) if k.q <= 3 else (3, 0)
+    for z in range(min(k.q, 3)) if base_params else [None]:
+        s_point = {} if z is None else {"z": z}
+        assert_tower_matches_search(eqs, x_vars, base_params, k, s_point, top_level, N)
+
+
+@pytest.mark.parametrize("k", ORACLE_FIELDS)
+@pytest.mark.parametrize("texts", [pytest.param([], id="free_plane"),
+                                   pytest.param(["6*x*y + 6*y^2 - 30"], id="vanishes_mod_2_3_5")])
+def test_tower_matches_search_on_the_whole_plane(texts, k):
+    """The search walks all q^(2(level + 1)) jets here, so level 2 is the top."""
+    assert_tower_matches_search([parse_poly(t) for t in texts], ("x", "y"), (), k, {}, 2, 0)
+
+
+monomials = st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
+equations = st.lists(monomials, min_size=1, max_size=3).map(
+    lambda terms: parse_poly(" + ".join(f"{c}*x^{a}*y^{b}" for c, a, b in terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(equations, min_size=1, max_size=2), st.sampled_from([F2, F3, F4, F5]))
+def test_tower_matches_search_on_random_systems(eqs, k):
+    top_level, N = (3, 1) if k.q <= 3 else (2, 0)
+    try:
+        assert_tower_matches_search(eqs, ("x", "y"), (), k, {}, top_level, N)
+    except NoStabilization:
+        top = jet_ideal(eqs, top_level, ("x", "y"))
+        with pytest.raises(NoStabilization):
+            dfs_geometric(top, N, k, {})
+
+
+def test_tower_and_search_raise_for_the_same_inputs():
+    top = jet_ideal([parse_poly("x*y")], 6)
+    with pytest.raises(BudgetExceeded) as search:
+        dfs_geometric(top, 2, F5, {})
+    with pytest.raises(BudgetExceeded) as tower:
+        tower_geometric(top, 2, F5, {})
+    assert str(tower.value) == str(search.value)
+    # x*y^3 over F_2: the level-1 images still shrink at depth_cap 4
+    top = jet_ideal([parse_poly("x*y^3")], 4)
+    with pytest.raises(NoStabilization) as search:
+        dfs_geometric(top, 1, F2, {})
+    with pytest.raises(NoStabilization) as tower:
+        tower_geometric(top, 1, F2, {})
+    assert str(tower.value) == str(search.value)
+
+
+def test_tower_charges_the_budget_per_level():
+    tower = JetTower(jet_ideal([parse_poly("x*y")], 6), {}, F5)
+    assert tower.count(4) == count_jets(jet_ideal([parse_poly("x*y")], 4), {}, F5)
+    with pytest.raises(BudgetExceeded):
+        tower.count(5)  # 12 coordinates over F_5: 27.9 bits
+    with pytest.raises(BudgetExceeded):
+        tower.image_size(0, 5)
+
+
+def test_tower_nodes_per_level():
+    smooth = JetTower(jet_ideal([parse_poly("y - x^2")], 6), {}, F3)
+    assert smooth.count(6) == 3 ** 7
+    assert smooth.nodes_per_level == [0] * 7  # every point smooth: nothing enumerated
+    xy = JetTower(jet_ideal([parse_poly("x*y")], 3), {}, F3)
+    assert xy.count(3) == 4 * 3 ** 3 + 189
+    # the origin; all 9 (x_1, y_1); the 5 with x_1*y_1 = 0, times 9 for (x_2, y_2);
+    # the 21 (x_1, y_1, x_2, y_2) with x_1*y_1 = x_1*y_2 + x_2*y_1 = 0, times 9
+    assert xy.nodes_per_level == [1, 9, 45, 189]
