@@ -17,6 +17,7 @@ import sys
 from . import jets
 from .chi import chi_stratification, verify_specialization
 from .errors import GalstratError, IoError, SchemaError
+from .fields import DEFAULT_BUDGET
 from .fixtures import load_fixture, sweep_pairs
 from .formulas import bijection_fiber_report, eval_formula
 from .stratifications import GaloisFormula, eliminate_existential, validate_elimination
@@ -50,7 +51,7 @@ def _fiber_key(s_point):
 
 def run(command, fixture, options) -> dict:
     """Dispatch one command against a loaded fixture; returns the report."""
-    budget = options.get("budget", 24.0)
+    budget = options.get("budget", DEFAULT_BUDGET)
     sweep = options["sweep"]
     report = {
         "command": command,
@@ -177,8 +178,8 @@ def main(argv=None) -> int:
     parser.add_argument("fixture", help="path to a fixture JSON document")
     parser.add_argument("--primes", default=None,
                         help="comma-separated field orders overriding the fixture sweep")
-    parser.add_argument("--budget", type=float, default=24.0,
-                        help="enumeration budget in bits (default 24)")
+    parser.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
+                        help=f"enumeration budget in bits (default {DEFAULT_BUDGET:g})")
     parser.add_argument("--out", default=None, help="also write the report to this path")
     args = parser.parse_args(argv)
 

@@ -54,22 +54,15 @@ class AdmissiblePrimes:
 
     @classmethod
     def from_json(cls, doc):
-        """Read an admissible document; a malformed one raises SchemaError."""
+        """Read an admissible document whose shape the fixture schema has checked;
+        a modulus m < 1 raises SchemaError."""
         doc = doc or {}
-        if not isinstance(doc, dict):
-            raise SchemaError([f"admissible must be an object, got {doc!r}"])
         mod = doc.get("mod", [])
-        if isinstance(mod, list) and mod and type(mod[0]) is int:
+        if mod and type(mod[0]) is int:  # one [m, r] pair rather than a list of pairs
             mod = [mod]
-        if not (isinstance(mod, list) and all(
-                isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
-                and c[0] >= 1 for c in mod)):
-            raise SchemaError(
-                [f"admissible mod must be [m, r] integer pairs with m >= 1, got {doc['mod']!r}"])
-        exclude = doc.get("exclude", [])
-        if not (isinstance(exclude, list) and all(type(x) is int for x in exclude)):
-            raise SchemaError([f"admissible exclude must list integers, got {exclude!r}"])
-        return cls(congruences=mod, exclude=exclude)
+        if any(m < 1 for m, _ in mod):
+            raise SchemaError([f"admissible mod needs every modulus m >= 1, got {doc['mod']!r}"])
+        return cls(congruences=mod, exclude=doc.get("exclude", []))
 
     def to_json(self):
         return {"mod": [list(c) for c in self.congruences],

@@ -28,6 +28,10 @@ from .errors import (
 
 DEFAULT_CAP = 1 << 16
 
+# Enumeration budget in bits: a search over F_q^n may visit at most
+# 2^budget points, that is n * log2(q) <= budget.
+DEFAULT_BUDGET = 24.0
+
 
 def is_prime(n: int) -> bool:
     if n < 2:

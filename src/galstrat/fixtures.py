@@ -2,24 +2,30 @@
 
 A fixture bundles one computation's inputs: formulas, stratifications,
 elimination plans, quotient-class data, or jet systems, together with the
-admissible primes and the sweep to validate over.  Loading validates
-everything it can reach (group laws, conjugation stability, formula
-syntax, plan coherence) and reports all violations at once.
+admissible primes and the sweep to validate over.  The shape of each kind
+of document is stated once, in `schemas/<kind>.json`, and every document is
+checked against it before anything is built.  Loading then validates what a
+schema cannot say (group laws, conjugation stability, formula syntax, plan
+coherence) and reports all violations at once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
+from fractions import Fraction
 
 from .covers import ALL_PRIMES, AdmissiblePrimes, CoverSpec
 from .errors import (
+    CapExceeded,
     GalstratError,
     IoError,
     NotConjugationStable,
     SchemaError,
 )
-from .fields import make_field
+from .fields import DEFAULT_CAP, make_field
 from .formulas import parse_formula
 from .groups import ConjDomain, FiniteGroup, GroupHom, cyclic_group, trivial_group
 from .motives import CountTable, MotiveClass
@@ -35,6 +41,123 @@ from .stratifications import (
 KINDS = ("formula", "stratification", "elimination", "chi", "jets")
 
 
+# -- the schema checker -------------------------------------------------------------
+#
+# The JSON-Schema subset the schema files use.  `definitions` holds named
+# fragments for `$ref`, which is either local ("#/definitions/x") or names a
+# sibling file ("common.json#/definitions/x").
+
+SCHEMA_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "enum", "const", "minimum", "oneOf", "$ref",
+    "$comment", "definitions",
+})
+
+_SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+# What every document must be before its kind selects a schema.
+_ENVELOPE = {"type": "object", "required": ["kind"],
+             "properties": {"kind": {"enum": list(KINDS)}}}
+
+
+@functools.cache
+def _schema_file(name):
+    with open(os.path.join(_SCHEMA_DIR, name)) as fh:
+        return json.load(fh)
+
+
+@functools.cache
+def _resolve(ref, base):
+    """The (file, schema) that `ref` names; a ref without a file stays in `base`."""
+    name, _, pointer = ref.partition("#")
+    name = name or base
+    node = _schema_file(name)
+    for step in pointer.split("/")[1:]:
+        node = node[step]
+    return name, node
+
+
+def _same(a, b):
+    """JSON equality: true is not 1, and 1.0 is not 1."""
+    return type(a) is type(b) and a == b
+
+
+def _show(value):
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _field(path, name):
+    if name.isidentifier():
+        return f"{path}.{name}" if path else name
+    return f"{path}[{json.dumps(name)}]"
+
+
+def schema_violations(value, schema, base="", path=""):
+    """Every way `value` breaks `schema`, each as `<json path>: <problem>`.
+
+    `base` is the schema file that local `$ref`s resolve in."""
+    errors = []
+    _check(value, schema, base, path, errors)
+    return errors
+
+
+def _check(value, schema, base, path, errors):
+    where = path or "document"
+    kind = type(value)
+    if "$ref" in schema:
+        ref_base, target = _resolve(schema["$ref"], base)
+        _check(value, target, ref_base, path, errors)
+    if "type" in schema and kind is not _JSON_TYPES[schema["type"]]:
+        errors.append(f"{where}: expected {schema['type']}, got {_show(value)}")
+        return
+    if "const" in schema and not _same(value, schema["const"]):
+        errors.append(f"{where}: expected {_show(schema['const'])}, got {_show(value)}")
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        errors.append(f"{where}: {_show(value)} is not one of {_show(schema['enum'])}")
+    if "minimum" in schema and kind is int and value < schema["minimum"]:
+        errors.append(f"{where}: {value} is below the minimum {schema['minimum']}")
+    if kind is dict:
+        for name in schema.get("required", ()):
+            if name not in value:
+                errors.append(f"{_field(path, name)}: required, but missing")
+        properties = schema.get("properties", {})
+        other = schema.get("additionalProperties")
+        for name, item in value.items():
+            sub = properties.get(name, other)
+            if sub is not None:
+                _check(item, sub, base, _field(path, name), errors)
+    elif kind is list:
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{where}: needs at least {schema['minItems']} items, "
+                          f"got {len(value)}")
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append(f"{where}: allows at most {schema['maxItems']} items, "
+                          f"got {len(value)}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], base, f"{path}[{i}]", errors)
+    if "oneOf" in schema:
+        outcomes = [schema_violations(value, option, base, path)
+                    for option in schema["oneOf"]]
+        fits = outcomes.count([])
+        if fits == 0:
+            errors.append(f"{where}: {_show(value)} fits none of the allowed forms ("
+                          + " | ".join("; ".join(o) for o in outcomes) + ")")
+        elif fits > 1:
+            errors.append(f"{where}: {_show(value)} fits {fits} of the allowed forms, "
+                          "not exactly one")
+
+
+def _require(doc, schema, base=""):
+    errors = schema_violations(doc, schema, base)
+    if errors:
+        raise SchemaError(errors)
+
+
+# -- documents to engine objects ------------------------------------------------------
+
 class FixtureDoc:
     def __init__(self, version, kind, payload, admissible, sweep, raw, digest):
         self.version = version
@@ -49,6 +172,8 @@ class FixtureDoc:
 def field_from_order(q: int):
     if q < 2:
         raise SchemaError([f"field order {q} < 2"])
+    if q > DEFAULT_CAP:
+        raise CapExceeded(f"q = {q} outside [2, {DEFAULT_CAP}]")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1
@@ -65,20 +190,17 @@ def field_from_order(q: int):
 
 def load_group(doc, errors, where):
     try:
-        if isinstance(doc, dict) and "cyclic" in doc:
+        if "cyclic" in doc:
             n = doc["cyclic"]
             return cyclic_group(n) if n > 1 else trivial_group()
-        if isinstance(doc, dict):
-            return FiniteGroup.from_json(doc)
+        return FiniteGroup.from_json(doc)
     except GalstratError as exc:
         errors.append(f"{where}: {exc}")
         return trivial_group()
-    errors.append(f"{where}: unrecognized group document")
-    return trivial_group()
 
 
 def load_cover(doc, errors, where, base_params=()):
-    kind = doc.get("kind")
+    kind = doc["kind"]
     try:
         admissible = AdmissiblePrimes.from_json(doc.get("admissible"))
         if kind == "trivial":
@@ -87,72 +209,49 @@ def load_cover(doc, errors, where, base_params=()):
         if kind == "kummer":
             stratum = parse_formula(doc["stratum"], base_params=base_params)
             f = parse_poly(doc["f"])
-            n = doc["n"]
-            if type(n) is not int or n < 1:
-                raise SchemaError([f"kummer n must be an integer >= 1, got {n!r}"])
             adm = admissible if doc.get("admissible") else None
-            return CoverSpec.kummer(n, f, stratum, adm, label=doc.get("label"))
-        if kind == "tabulated":
-            group = load_group(doc["group"], errors, where)
-            stratum = parse_formula(doc["stratum"], base_params=base_params)
-            table = {}
-            for q_str, points in doc["assign"].items():
-                if not isinstance(points, dict):
-                    raise SchemaError([f"assign {q_str!r} must be an object from points "
-                                       f"to group elements, got {points!r}"])
-                for point_str, elem in points.items():
-                    try:
-                        point = tuple(int(x) for x in point_str.split(",")) if point_str else ()
-                        key = (int(q_str), point)
-                    except ValueError:
-                        raise SchemaError(
-                            [f"assign key {q_str!r}: {point_str!r} is not made of integers"]
-                        ) from None
-                    if type(elem) is not int or not 0 <= elem < group.n:
-                        raise SchemaError([f"assign {q_str!r}: {point_str!r} maps to {elem!r}, "
-                                           f"not a group element 0..{group.n - 1}"])
-                    table[key] = elem
+            return CoverSpec.kummer(doc["n"], f, stratum, adm, label=doc.get("label"))
+        # the schema admits one more kind: tabulated
+        group = load_group(doc["group"], errors, where)
+        stratum = parse_formula(doc["stratum"], base_params=base_params)
+        table = {}
+        for q_str, points in doc["assign"].items():
+            for point_str, elem in points.items():
+                try:
+                    point = tuple(int(x) for x in point_str.split(",")) if point_str else ()
+                    key = (int(q_str), point)
+                except ValueError:
+                    raise SchemaError(
+                        [f"assign key {q_str!r}: {point_str!r} is not made of integers"]
+                    ) from None
+                if elem >= group.n:
+                    raise SchemaError([f"assign {q_str!r}: {point_str!r} maps to {elem!r}, "
+                                       f"not a group element 0..{group.n - 1}"])
+                table[key] = elem
 
-            def assign(s_point, a, k, _table=table):
-                key = (k.q, tuple(a))
-                if key not in _table:
-                    raise SchemaError([f"tabulated cover has no entry for {key}"])
-                return _table[key]
+        def assign(s_point, a, k, _table=table):
+            key = (k.q, tuple(a))
+            if key not in _table:
+                raise SchemaError([f"tabulated cover has no entry for {key}"])
+            return _table[key]
 
-            return CoverSpec.tabulated(group, stratum, assign, admissible,
-                                       label=doc.get("label"))
+        return CoverSpec.tabulated(group, stratum, assign, admissible,
+                                   label=doc.get("label"))
     except GalstratError as exc:
         errors.append(f"{where}: {exc}")
-        return CoverSpec.trivial(parse_formula("0 = 0"))
     except KeyError as exc:
         errors.append(f"{where}: missing field {exc}")
-        return CoverSpec.trivial(parse_formula("0 = 0"))
-    errors.append(f"{where}: unknown cover kind {kind!r}")
     return CoverSpec.trivial(parse_formula("0 = 0"))
-
-
-def _parse_element(token):
-    """Subgroup elements may be ints, decimal strings, or 'e' for the identity."""
-    if isinstance(token, int):
-        return token
-    if token == "e":
-        return 0
-    return int(token)
 
 
 def load_stratification(doc, errors, where="stratification"):
     base_params = tuple(doc.get("base_params", ()))
-    coords = tuple(doc.get("coords", ()))
-    if not coords and "ambient" in doc:
-        coords = tuple(f"x{i + 1}" for i in range(doc["ambient"]))
     strata = []
-    for i, entry in enumerate(doc.get("strata", ())):
-        cover = load_cover(entry.get("cover", {}), errors, f"{where}.strata[{i}].cover",
+    for i, entry in enumerate(doc["strata"]):
+        cover = load_cover(entry["cover"], errors, f"{where}.strata[{i}].cover",
                            base_params=base_params)
         try:
-            con = ConjDomain(cover.group,
-                             [frozenset(_parse_element(x) for x in s)
-                              for s in entry.get("con", ())])
+            con = ConjDomain(cover.group, entry["con"])
         except NotConjugationStable as exc:
             errors.append(
                 f"{where}.strata[{i}].con: not conjugation-stable, "
@@ -163,7 +262,7 @@ def load_stratification(doc, errors, where="stratification"):
             con = ConjDomain.empty(cover.group)
         strata.append((cover, con))
     try:
-        return GaloisStratification(coords, strata, base_params=base_params,
+        return GaloisStratification(tuple(doc["coords"]), strata, base_params=base_params,
                                     label=doc.get("label"))
     except GalstratError as exc:
         errors.append(f"{where}: {exc}")
@@ -179,16 +278,15 @@ def load_hom(table, source, target, errors, where):
 
 
 def load_elimination_plan(doc, strat, errors, where="plan"):
-    base_params = strat.base_params if strat else ()
-    output_covers = [load_cover(c, errors, f"{where}.output_covers[{i}]", base_params)
-                     for i, c in enumerate(doc.get("output_covers", ()))]
+    output_covers = [load_cover(c, errors, f"{where}.output_covers[{i}]", strat.base_params)
+                     for i, c in enumerate(doc["output_covers"])]
     entries = []
-    for i, entry in enumerate(doc.get("entries", ())):
+    for i, entry in enumerate(doc["entries"]):
         loc = f"{where}.entries[{i}]"
         try:
             idx = entry["stratum"]
             out = entry["output"]
-            stratum_group = strat.strata[idx][0].group if strat else trivial_group()
+            stratum_group = strat.strata[idx][0].group
             out_group = output_covers[out].group
             if entry["case"] == 1:
                 step = load_group(entry["step_group"], errors, f"{loc}.step_group")
@@ -196,13 +294,10 @@ def load_elimination_plan(doc, strat, errors, where="plan"):
                     proj=load_hom(entry["proj"], step, stratum_group, errors, f"{loc}.proj"),
                     emb=load_hom(entry["emb"], step, out_group, errors, f"{loc}.emb"),
                     base_cover=output_covers[out])
-            elif entry["case"] == 2:
+            else:
                 datum = Case2Datum(
                     res=load_hom(entry["res"], stratum_group, out_group, errors, f"{loc}.res"),
                     base_cover=output_covers[out])
-            else:
-                errors.append(f"{loc}: case must be 1 or 2")
-                continue
             entries.append(EliminationEntry(idx, datum, out))
         except (KeyError, IndexError) as exc:
             errors.append(f"{loc}: malformed entry ({exc})")
@@ -233,16 +328,16 @@ def load_quotient_data(doc, strat, errors, where="quotient_data"):
 
 
 def load_sweep(doc, errors, where="sweep"):
-    doc = doc or {}
-    primes = list(doc.get("primes", ()))
-    if not primes:
-        errors.append(f"{where}: no primes declared (the engine never picks primes)")
     s_points = doc.get("s_points", [{}])
-    if s_points not in ("all", "nonzero") and not (
-            isinstance(s_points, list) and all(isinstance(s, dict) for s in s_points)):
-        errors.append(f"{where}: s_points must be \"all\", \"nonzero\" or a list of "
-                      f"objects, got {s_points!r}")
-    return {"primes": primes, "s_points": s_points}
+    if s_points not in ("all", "nonzero"):
+        for i, s_point in enumerate(s_points):
+            for name, value in s_point.items():
+                try:
+                    Fraction(value)
+                except (ValueError, ZeroDivisionError):
+                    errors.append(f"{_field(f'{where}.s_points[{i}]', name)}: "
+                                  f"{value!r} is not an integer or a rational a/b")
+    return {"primes": list(doc["primes"]), "s_points": s_points}
 
 
 def sweep_pairs(sweep, base_params, admissible=ALL_PRIMES):
@@ -274,20 +369,16 @@ def load_fixture(path) -> FixtureDoc:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError([f"invalid JSON: {exc}"]) from exc
+    _require(doc, _ENVELOPE)
+    kind = doc["kind"]
+    _require(doc, _schema_file(f"{kind}.json"), f"{kind}.json")
     errors = []
-    version = doc.get("version")
-    if version != 1:
-        errors.append(f"version must be 1, got {version!r}")
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        errors.append(f"kind must be one of {KINDS}, got {kind!r}")
-        raise SchemaError(errors)
     try:
         admissible = AdmissiblePrimes.from_json(doc.get("admissible"))
     except SchemaError as exc:
         errors.extend(exc.violations)
         admissible = ALL_PRIMES
-    sweep = load_sweep(doc.get("sweep"), errors)
+    sweep = load_sweep(doc["sweep"], errors)
     payload = {}
 
     if kind == "formula":
@@ -305,43 +396,32 @@ def load_fixture(path) -> FixtureDoc:
             errors.append("bijection fixture needs phi1 and phi2")
 
     elif kind == "stratification":
-        strat = load_stratification(doc.get("stratification", {}), errors)
-        payload["stratification"] = strat
+        payload["stratification"] = load_stratification(doc["stratification"], errors)
 
     elif kind == "elimination":
-        strat = load_stratification(doc.get("input", {}), errors, where="input")
+        strat = load_stratification(doc["input"], errors, where="input")
         payload["input"] = strat
-        prefix = tuple(doc.get("prefix", ()))
-        if prefix not in (("E",), ("A",)):
-            errors.append("fixture prefix must be exactly one quantifier, 'E' or 'A'")
-        payload["prefix"] = prefix
-        if strat is not None and "plan" in doc:
+        payload["prefix"] = tuple(doc["prefix"])
+        if strat is not None:
             payload["plan"] = load_elimination_plan(doc["plan"], strat, errors)
-        elif "plan" not in doc:
-            errors.append("elimination fixture needs a 'plan'")
 
     elif kind == "chi":
-        strat = load_stratification(doc.get("stratification", {}), errors)
+        strat = load_stratification(doc["stratification"], errors)
         payload["stratification"] = strat
         if strat is not None:
-            payload["quotient_data"] = load_quotient_data(
-                doc.get("quotient_data", ()), strat, errors)
+            payload["quotient_data"] = load_quotient_data(doc["quotient_data"], strat, errors)
             missing = [i for i in strat.support()
                        if i not in payload["quotient_data"]]
             if missing:
                 errors.append(f"missing quotient data for support strata {missing}")
-        payload["counts"] = CountTable(doc.get("counts", {}))
+        payload["counts"] = CountTable(doc["counts"])
 
     elif kind == "jets":
-        texts = doc.get("equations", [])
-        payload["equations"] = []
-        if not (isinstance(texts, list) and all(isinstance(e, str) for e in texts)):
-            errors.append(f"equations must be a list of strings, got {texts!r}")
-        else:
-            try:
-                payload["equations"] = [parse_poly(e) for e in texts]
-            except GalstratError as exc:
-                errors.append(f"equations: {exc}")
+        try:
+            payload["equations"] = [parse_poly(e) for e in doc["equations"]]
+        except GalstratError as exc:
+            payload["equations"] = []
+            errors.append(f"equations: {exc}")
         x_vars = payload["x_vars"] = tuple(doc.get("x_vars", ())) or None
         base_params = payload["base_params"] = tuple(doc.get("base_params", ()))
         if x_vars is not None:
@@ -350,15 +430,12 @@ def load_fixture(path) -> FixtureDoc:
                 if unknown:
                     errors.append(f"equations[{i}]: variables {unknown} are in neither "
                                   "x_vars nor base_params")
-        level = payload["level"] = doc.get("level", 0)
-        if type(level) is not int or level < 0:
-            errors.append(f"level must be an integer >= 0, got {level!r}")
-        else:
-            depth_cap = payload["depth_cap"] = doc.get("depth_cap", 2 * level + 2)
-            if type(depth_cap) is not int or depth_cap < 2 * level + 2:
-                errors.append(f"depth_cap must be an integer >= 2*level + 2 = "
-                              f"{2 * level + 2}, got {depth_cap!r}")
+        level = payload["level"] = doc["level"]
+        depth_cap = payload["depth_cap"] = doc.get("depth_cap", 2 * level + 2)
+        if depth_cap < 2 * level + 2:
+            errors.append(f"depth_cap must be >= 2*level + 2 = {2 * level + 2}, "
+                          f"got {depth_cap!r}")
 
     if errors:
         raise SchemaError(errors)
-    return FixtureDoc(version, kind, payload, admissible, sweep, doc, digest)
+    return FixtureDoc(doc["version"], kind, payload, admissible, sweep, doc, digest)

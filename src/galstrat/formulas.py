@@ -25,10 +25,8 @@ from .errors import (
     UnboundVariableCollision,
     VariableMismatch,
 )
-from .fields import FiniteField
+from .fields import DEFAULT_BUDGET, FiniteField
 from .polynomials import Poly, _Tokens, _parse_sum
-
-DEFAULT_BUDGET = 24.0
 
 
 # -- AST ---------------------------------------------------------------------

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import BudgetExceeded, NoStabilization
-from .fields import FiniteField
+from .fields import DEFAULT_BUDGET, FiniteField
 from .motives import lefschetz_power
 from .polynomials import Poly
-
-DEFAULT_BUDGET = 24.0
 
 
 def jet_var(name: str, j: int) -> str:

@@ -1,5 +1,6 @@
 """Fixture loading, schema validation, and the batch command-line front end."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from galstrat import fixtures
 from galstrat.cli import main, run
 from galstrat.errors import SchemaError
 from galstrat.fixtures import field_from_order, load_fixture
@@ -226,6 +228,12 @@ def strat_doc(admissible=None, cover_admissible=None, kummer_n=2):
     return doc
 
 
+def bijection_doc(s_points):
+    doc = json.loads((FIXTURES / "shifted_square_bijection.json").read_text())
+    doc["sweep"] = {"primes": [5], "s_points": s_points}
+    return doc
+
+
 def tabulated_doc(assign, q="5"):
     return {
         "version": 1,
@@ -259,21 +267,32 @@ MALFORMED = [
                  id="cover_admissible_pair_too_short"),
     pytest.param("stratify", strat_doc(cover_admissible={"exclude": ["a"]}), "exclude",
                  id="cover_admissible_exclude_not_integers"),
-    pytest.param("stratify", strat_doc(kummer_n=0), "kummer n", id="kummer_n_zero"),
-    pytest.param("stratify", strat_doc(kummer_n="2"), "kummer n", id="kummer_n_string"),
+    pytest.param("stratify", strat_doc(kummer_n=0), "cover.n", id="kummer_n_zero"),
+    pytest.param("stratify", strat_doc(kummer_n="2"), "cover.n", id="kummer_n_string"),
     pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "a": 0}), "'a'",
                  id="tabulated_point_key_not_integer"),
     pytest.param("stratify", tabulated_doc(SQUARE_CLASSES, q="five"), "'five'",
                  id="tabulated_field_key_not_integer"),
     pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": 2}), "group element",
                  id="tabulated_element_out_of_range"),
-    pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": "1"}), "group element",
+    pytest.param("stratify", tabulated_doc({**SQUARE_CLASSES, "2": "1"}), 'assign["5"]["2"]',
                  id="tabulated_element_not_integer"),
-    pytest.param("stratify", tabulated_doc([0, 0, 1, 1, 0]), "assign '5'",
+    pytest.param("stratify", tabulated_doc([0, 0, 1, 1, 0]), 'assign["5"]',
                  id="tabulated_field_entry_not_an_object"),
     pytest.param("stratify", {**strat_doc(), "sweep": {"primes": [5], "s_points": "some"}},
                  "s_points", id="sweep_s_points_unknown_word"),
     pytest.param("jets", jets_doc(equations=[3]), "equations", id="jets_equation_not_a_string"),
+    pytest.param("jets", jets_doc(sweep={"primes": ["a"]}), "sweep.primes[0]",
+                 id="sweep_prime_not_an_integer"),
+    pytest.param("jets", jets_doc(sweep={"primes": 5}), "sweep.primes",
+                 id="sweep_primes_not_a_list"),
+    pytest.param("jets", jets_doc(x_vars=3), "x_vars", id="jets_x_vars_not_a_list"),
+    pytest.param("jets", jets_doc(x_vars="xy"), "x_vars", id="jets_x_vars_a_string"),
+    pytest.param("jets", jets_doc(base_params=3), "base_params", id="jets_base_params_not_a_list"),
+    pytest.param("jets", jets_doc(sweep=[]), "sweep", id="sweep_not_an_object"),
+    pytest.param("jets", [jets_doc()], "document", id="document_not_an_object"),
+    pytest.param("bijection", bijection_doc(s_points=[{"z": "a"}]), "sweep.s_points[0].z",
+                 id="sweep_s_point_value_not_a_number"),
 ]
 
 
@@ -284,3 +303,106 @@ def test_cli_malformed_document_schema_error(command, doc, needle, tmp_path, cap
     assert code == 2
     assert report["error"] == "SchemaError"
     assert any(needle in line for line in report["detail"]), report["detail"]
+
+
+def test_cli_field_order_above_cap_fails_at_once(capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would run for minutes
+    code = main(["eval", str(FIXTURES / "squares_formula.json"),
+                 "--primes", "2305843009213693951"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "CapExceeded"
+
+
+# -- the schema files are the format --------------------------------------------------
+
+SCHEMAS = Path(fixtures.__file__).resolve().parent / "schemas"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def schema_keywords(node):
+    """Every keyword used in a schema node and in the schemas nested in it."""
+    assert isinstance(node, dict), node
+    yield from node
+    for key, value in node.items():
+        if key in ("properties", "definitions"):
+            for sub in value.values():
+                yield from schema_keywords(sub)
+        elif key in ("items", "additionalProperties"):
+            yield from schema_keywords(value)
+        elif key == "oneOf":
+            for sub in value:
+                yield from schema_keywords(sub)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCHEMAS.glob("*.json")))
+def test_schema_uses_only_checked_keywords(name):
+    used = set(schema_keywords(json.loads((SCHEMAS / name).read_text())))
+    assert used <= fixtures.SCHEMA_KEYWORDS, sorted(used - fixtures.SCHEMA_KEYWORDS)
+
+
+def test_shipped_and_benchmark_documents_meet_their_schemas(tmp_path):
+    paths = sorted(FIXTURES.glob("*.json"))
+    workloads = load_workloads()
+    for workload in workloads.WORKLOADS:
+        directory = tmp_path / workload
+        directory.mkdir()
+        workloads.Generator(workload, seed=1).make_pass(0, directory)
+        paths += sorted(directory.glob("*.json"))
+    assert len(paths) > len(list(FIXTURES.glob("*.json")))
+    for path in paths:
+        load_fixture(path)
+
+
+def test_each_schema_file_is_read_once(tmp_path):
+    fixtures._schema_file.cache_clear()
+    fixtures._resolve.cache_clear()
+    for _ in range(2):
+        load_fixture(FIXTURES / "case1_squaring.json")
+        load_fixture(FIXTURES / "kummer_z2_chi.json")
+    # elimination.json, chi.json and common.json, each parsed on first use only
+    assert fixtures._schema_file.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("value,schema,expected", [
+    (True, {"type": "integer"}, ["x: expected integer, got true"]),
+    (2.0, {"type": "integer"}, ["x: expected integer, got 2.0"]),
+    (True, {"const": 1}, ["x: expected 1, got true"]),
+    (1.0, {"enum": [1, 2]}, ["x: 1.0 is not one of [1, 2]"]),
+    (-1, {"type": "integer", "minimum": 0}, ["x: -1 is below the minimum 0"]),
+    ([], {"type": "array", "minItems": 1}, ["x: needs at least 1 items, got 0"]),
+    ([1, 2], {"type": "array", "maxItems": 1}, ["x: allows at most 1 items, got 2"]),
+    ({"a": 1}, {"type": "object", "required": ["b"]}, ["x.b: required, but missing"]),
+    ({"a": "1", "b c": 2}, {"type": "object", "properties": {"a": {"type": "string"}},
+                            "additionalProperties": {"type": "string"}},
+     ['x["b c"]: expected string, got 2']),
+    ([1, "a"], {"type": "array", "items": {"type": "integer"}},
+     ['x[1]: expected integer, got "a"']),
+    (3, {"oneOf": [{"type": "integer"}, {"minimum": 0}]},
+     ["x: 3 fits 2 of the allowed forms, not exactly one"]),
+    ("s", {"oneOf": [{"type": "integer"}, {"type": "array"}]},
+     ['x: "s" fits none of the allowed forms (x: expected integer, got "s" | '
+      'x: expected array, got "s")']),
+    ({"mod": [[1, 0], [4, 1]]}, {"$ref": "common.json#/definitions/admissible"}, []),
+    ({"mod": [4, 1]}, {"$ref": "common.json#/definitions/admissible"}, []),
+])
+def test_schema_checker(value, schema, expected):
+    assert fixtures.schema_violations(value, schema, path="x") == expected
+
+
+def test_schema_errors_are_reported_together(tmp_path):
+    doc = jets_doc(version=2, level="1", sweep={"primes": []})
+    with pytest.raises(SchemaError) as err:
+        load_fixture(write(tmp_path, doc))
+    assert err.value.violations == [
+        "version: expected 1, got 2",
+        'level: expected integer, got "1"',
+        "sweep.primes: needs at least 1 items, got 0",
+    ]
