@@ -79,15 +79,6 @@ class QCentralFunction:
         if self.group != other.group:
             raise GroupMismatch("central functions on different groups")
 
-    def to_json(self):
-        """Element-indexed array of rationals as 'a/b' strings."""
-        return [str(v) if v.denominator != 1 else str(v.numerator)
-                for v in self.values]
-
-    @classmethod
-    def from_json(cls, group, doc):
-        return cls(group, [Fraction(v) for v in doc])
-
     def __repr__(self):
         return f"QCentral({self.group.name}: {[str(v) for v in self.values]})"
 

@@ -130,22 +130,6 @@ class ChiReport:
                 return row
         return None
 
-    def to_json(self):
-        return {
-            "class": str(self.symbolic),
-            "verdict": "Pass" if self.verdict else "Fail",
-            "rows": [
-                {
-                    "q": row["q"],
-                    "s_point": {k: str(v) for k, v in sorted(row["s_point"].items())},
-                    "specialized": str(row["specialized"]),
-                    "count": row["count"],
-                    "match": row["match"],
-                }
-                for row in self.rows
-            ],
-        }
-
     def __repr__(self):
         return f"ChiReport({'Pass' if self.verdict else 'Fail'}, {len(self.rows)} rows)"
 

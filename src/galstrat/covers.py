@@ -21,7 +21,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .fields import FiniteField, distinct_degree_profile, power_residue
-from .formulas import Formula, fresh_conjunction, holds_at, parse_formula
+from .formulas import Formula, fresh_conjunction, holds_at, parse_formula, substitute_formula
 from .groups import FiniteGroup, cyclic_group, trivial_group
 from .polynomials import Poly, parse_poly
 
@@ -173,7 +173,6 @@ class CoverSpec:
 
     def substitute_base(self, mapping) -> "CoverSpec":
         """Specialize base parameters inside the stratum formula and cover data."""
-        from .formulas import substitute_formula
         stratum = substitute_formula(self.stratum, mapping)
         if self.kind == "trivial":
             return CoverSpec("trivial", self.group, stratum, self.admissible, self.label)

@@ -15,9 +15,11 @@ table is built on first use, never at construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
+    BudgetExceeded,
     CapExceeded,
     DenominatorNotInvertible,
     IncompatibleModulus,
@@ -31,6 +33,13 @@ DEFAULT_CAP = 1 << 16
 # Enumeration budget in bits: a search over F_q^n may visit at most
 # 2^budget points, that is n * log2(q) <= budget.
 DEFAULT_BUDGET = 24.0
+
+
+def check_budget(num_vars, k, budget):
+    """Refuse a search over F_q^num_vars of more than 2^budget points."""
+    bits = num_vars * math.log2(k.q)
+    if bits > budget:
+        raise BudgetExceeded(f"{bits:.1f} bits exceeds budget {budget}")
 
 
 def is_prime(n: int) -> bool:
@@ -222,10 +231,7 @@ class FiniteField:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        log = getattr(self, "_log", None)
-        if log is None:
-            return self._raw_mul(a, b)
-        return self._exp[(log[a] + log[b]) % (self.q - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a):
         if a == 0:

@@ -322,9 +322,26 @@ def load_quotient_data(doc, strat, errors, where="quotient_data"):
             data[idx] = QuotientClassData(group, classes)
         except GalstratError as exc:
             errors.append(f"{loc}: {exc}")
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(f"{loc}: malformed entry ({exc})")
     return data
+
+
+def load_counts(doc, errors, where="counts"):
+    table = CountTable()
+    for name, counts in doc.items():
+        for q, value in counts.items():
+            loc = _field(_field(where, name), q)
+            try:
+                q = int(q)
+            except ValueError:
+                errors.append(f"{loc}: the field order {q!r} is not an integer")
+                continue
+            try:
+                table.set(name, q, value)
+            except (ValueError, ZeroDivisionError):
+                errors.append(f"{loc}: {value!r} is not an integer or a rational a/b")
+    return table
 
 
 def load_sweep(doc, errors, where="sweep"):
@@ -414,7 +431,7 @@ def load_fixture(path) -> FixtureDoc:
                        if i not in payload["quotient_data"]]
             if missing:
                 errors.append(f"missing quotient data for support strata {missing}")
-        payload["counts"] = CountTable(doc["counts"])
+        payload["counts"] = load_counts(doc["counts"], errors)
 
     elif kind == "jets":
         try:

@@ -12,20 +12,24 @@ Grammar (whitespace-insensitive):
 Polynomial terms follow the polynomial text syntax.  Quantifiers range over
 the whole field; there is no symbolic quantifier elimination here - this
 module is the semantic oracle that everything else is validated against.
+
+Every `Formula` names each bound variable once: no two quantifiers in its
+body bind the same name, and no binder shares a name with a free variable
+(derived or declared) or a base parameter.  Construction renames colliding
+binders, outermost first, to `x_1`, `x_2`, ... (the least index whose name
+is not yet in use in the formula), so prenexing never has to rename.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import (
-    BudgetExceeded,
     FormulaSyntaxError,
     UnboundVariableCollision,
     VariableMismatch,
 )
-from .fields import DEFAULT_BUDGET, FiniteField
+from .fields import DEFAULT_BUDGET, FiniteField, check_budget
 from .polynomials import Poly, _Tokens, _parse_sum
 
 
@@ -125,11 +129,11 @@ def _bound_vars(node):
 
 
 class Formula:
-    """A formula together with its base parameters and ordered free variables."""
+    """A formula together with its base parameters and ordered free variables;
+    the body's binders are standardized apart (see the module docstring)."""
 
     def __init__(self, body, base_params=(), free_vars=None):
         self.base_params = tuple(base_params)
-        self.body = body
         self._compiled = {}  # field -> predicate, filled by compile()
         bound = _bound_vars(body)
         if bound & set(self.base_params):
@@ -145,6 +149,7 @@ class Formula:
                 raise VariableMismatch(
                     f"free occurrence of {sorted(set(derived) - set(free_vars))} not declared")
             self.free_vars = free_vars
+        self.body = _standardize(body, set(self.free_vars) | set(self.base_params), bound)
 
     def __str__(self):
         return _print_node(self.body)
@@ -198,6 +203,52 @@ def _print_node(node):
     raise TypeError(node)
 
 
+def _standardize(node, taken, bound):
+    """Rename binders, outermost first and left to right, so that none binds
+    a name in `taken`, which grows by every name bound.  A fresh name also
+    avoids `bound`, the names bound anywhere in the body, so it is never
+    captured below."""
+    if isinstance(node, (Eq, Neq)):
+        return node
+    if isinstance(node, (And, Or, Implies)):
+        return type(node)(_standardize(node.left, taken, bound),
+                          _standardize(node.right, taken, bound))
+    if isinstance(node, Not):
+        return Not(_standardize(node.sub, taken, bound))
+    if isinstance(node, (Exists, Forall)):
+        var, sub = node.var, node.sub
+        if var in taken:
+            i = 1
+            while f"{var}_{i}" in taken or f"{var}_{i}" in bound:
+                i += 1
+            sub = _substitute(sub, {var: Poly.variable(f"{var}_{i}")})
+            var = f"{var}_{i}"
+        taken.add(var)
+        return type(node)(var, _standardize(sub, taken, bound))
+    raise TypeError(node)
+
+
+def _substitute(node, mapping):
+    """Substitute mapping's polynomials or constants for the free occurrences
+    of its names in every atom; a binder of a mapped name shadows it."""
+    if isinstance(node, (Eq, Neq)):
+        left, right = node.left, node.right
+        if not mapping.keys().isdisjoint(left.variables):
+            left = left.substitute(mapping)
+        if not mapping.keys().isdisjoint(right.variables):
+            right = right.substitute(mapping)
+        return type(node)(left, right)
+    if isinstance(node, (And, Or, Implies)):
+        return type(node)(_substitute(node.left, mapping), _substitute(node.right, mapping))
+    if isinstance(node, Not):
+        return Not(_substitute(node.sub, mapping))
+    if isinstance(node, (Exists, Forall)):
+        if node.var in mapping:
+            mapping = {k: v for k, v in mapping.items() if k != node.var}
+        return type(node)(node.var, _substitute(node.sub, mapping))
+    raise TypeError(node)
+
+
 # -- parsing -------------------------------------------------------------------
 
 _RESERVED = {"E", "A"}
@@ -209,10 +260,6 @@ def parse_formula(text: str, base_params=(), free_vars=None) -> Formula:
     tok, pos = toks.peek()
     if tok is not None:
         raise FormulaSyntaxError(f"unexpected token {tok!r}", pos)
-    if _bound_vars(body) & set(base_params):
-        raise UnboundVariableCollision(
-            f"quantifier binds base parameter(s) {sorted(_bound_vars(body) & set(base_params))}")
-    body = _rename_duplicate_binders(body, set(_free_vars_node(body)) | set(base_params))
     return Formula(body, base_params=base_params, free_vars=free_vars)
 
 
@@ -296,73 +343,19 @@ def _parse_atom(toks):
     raise FormulaSyntaxError("expected '=' or '!=' after polynomial", pos)
 
 
-def _rename_duplicate_binders(node, in_scope, counter=None):
-    if counter is None:
-        counter = {}
-
-    def fresh(name):
-        counter[name] = counter.get(name, 0) + 1
-        return f"{name}_{counter[name]}"
-
-    def rec(node, scope, subst):
-        if isinstance(node, (Eq, Neq)):
-            if subst:
-                cls = type(node)
-                return cls(node.left.substitute({k: Poly.variable(v) for k, v in subst.items()
-                                                 if k in node.left.variables}),
-                           node.right.substitute({k: Poly.variable(v) for k, v in subst.items()
-                                                  if k in node.right.variables}))
-            return node
-        if isinstance(node, (And, Or, Implies)):
-            cls = type(node)
-            return cls(rec(node.left, scope, subst), rec(node.right, scope, subst))
-        if isinstance(node, Not):
-            return Not(rec(node.sub, scope, subst))
-        if isinstance(node, (Exists, Forall)):
-            cls = type(node)
-            var = node.var
-            if var in scope:
-                new = fresh(var)
-                while new in scope:
-                    new = fresh(var)
-                sub2 = dict(subst)
-                sub2[var] = new
-                return cls(new, rec(node.sub, scope | {new}, sub2))
-            sub2 = {k: v for k, v in subst.items() if k != var}
-            return cls(var, rec(node.sub, scope | {var}, sub2))
-        raise TypeError(node)
-
-    return rec(node, set(in_scope), {})
-
-
 # -- prenex normal form ----------------------------------------------------------
 
 def to_prenex(f: Formula) -> Formula:
     """Q1 x1 ... Qm xm [matrix in disjunctive normal form]."""
-    body = _strip_implies(f.body)
-    body = _nnf(body)
-    counter = {}
-    prefix, matrix = _pull_quantifiers(body, counter,
-                                       set(f.free_vars) | set(f.base_params))
+    prefix, matrix = _pull_quantifiers(_nnf(f.body))
     matrix = _to_dnf(matrix)
     for kind, var in reversed(prefix):
         matrix = kind(var, matrix)
     return Formula(matrix, base_params=f.base_params, free_vars=f.free_vars)
 
 
-def _strip_implies(node):
-    if isinstance(node, Implies):
-        return Or(Not(_strip_implies(node.left)), _strip_implies(node.right))
-    if isinstance(node, (And, Or)):
-        return type(node)(_strip_implies(node.left), _strip_implies(node.right))
-    if isinstance(node, Not):
-        return Not(_strip_implies(node.sub))
-    if isinstance(node, (Exists, Forall)):
-        return type(node)(node.var, _strip_implies(node.sub))
-    return node
-
-
 def _nnf(node, negate=False):
+    """Negation normal form; `a -> b` becomes `~a | b`."""
     if isinstance(node, Eq):
         return Neq(node.left, node.right) if negate else node
     if isinstance(node, Neq):
@@ -375,6 +368,9 @@ def _nnf(node, negate=False):
     if isinstance(node, Or):
         cls = And if negate else Or
         return cls(_nnf(node.left, negate), _nnf(node.right, negate))
+    if isinstance(node, Implies):
+        cls = And if negate else Or
+        return cls(_nnf(node.left, not negate), _nnf(node.right, negate))
     if isinstance(node, Exists):
         cls = Forall if negate else Exists
         return cls(node.var, _nnf(node.sub, negate))
@@ -384,50 +380,18 @@ def _nnf(node, negate=False):
     raise TypeError(node)
 
 
-def _rename_in(node, old, new):
-    if isinstance(node, (Eq, Neq)):
-        cls = type(node)
-        sub = {old: Poly.variable(new)}
-        left = node.left.substitute(sub) if old in node.left.variables else node.left
-        right = node.right.substitute(sub) if old in node.right.variables else node.right
-        return cls(left, right)
-    if isinstance(node, (And, Or)):
-        return type(node)(_rename_in(node.left, old, new), _rename_in(node.right, old, new))
-    if isinstance(node, Not):
-        return Not(_rename_in(node.sub, old, new))
-    if isinstance(node, (Exists, Forall)):
-        if node.var == old:
-            return node
-        return type(node)(node.var, _rename_in(node.sub, old, new))
-    raise TypeError(node)
-
-
-def _pull_quantifiers(node, counter, taken):
+def _pull_quantifiers(node):
+    """Prefix and matrix of an NNF body.  Binders are standardized apart, so
+    no quantifier moves over a free occurrence of its variable."""
     if isinstance(node, (Eq, Neq)):
         return [], node
     if isinstance(node, (Exists, Forall)):
-        var = node.var
-        if var in taken:
-            counter[var] = counter.get(var, 0) + 1
-            new = f"{var}_{counter[var]}"
-            while new in taken:
-                counter[var] += 1
-                new = f"{var}_{counter[var]}"
-            sub = _rename_in(node.sub, var, new)
-            var = new
-        else:
-            sub = node.sub
-        prefix, matrix = _pull_quantifiers(sub, counter, taken | {var})
-        kind = Exists if isinstance(node, Exists) else Forall
-        return [(kind, var)] + prefix, matrix
+        prefix, matrix = _pull_quantifiers(node.sub)
+        return [(type(node), node.var)] + prefix, matrix
     if isinstance(node, (And, Or)):
-        pl, ml = _pull_quantifiers(node.left, counter, taken)
-        taken2 = taken | {v for _, v in pl}
-        pr, mr = _pull_quantifiers(node.right, counter, taken2)
+        pl, ml = _pull_quantifiers(node.left)
+        pr, mr = _pull_quantifiers(node.right)
         return pl + pr, type(node)(ml, mr)
-    if isinstance(node, Not):
-        # NNF input: Not only wraps atoms, which _nnf already removed
-        raise TypeError("negation above atom level after NNF")
     raise TypeError(node)
 
 
@@ -543,7 +507,6 @@ def holds_at(f: Formula, s_point, point, k: FiniteField) -> bool:
 
 def fresh_conjunction(f: Formula, nonzero_poly) -> Formula:
     """f AND (poly != 0), keeping base parameters and free-variable order."""
-    from .polynomials import Poly
     body = And(f.body, Neq(nonzero_poly, Poly.constant(0)))
     extra = [v for v in nonzero_poly.used_variables()
              if v not in f.free_vars and v not in f.base_params]
@@ -560,25 +523,12 @@ def conjunction(f: Formula, g: Formula) -> Formula:
 def substitute_formula(f: Formula, mapping) -> Formula:
     """Substitute base parameters (or free variables) by rational constants
     or polynomials; substituted names leave the parameter lists."""
-    def rec(node):
-        if isinstance(node, (Eq, Neq)):
-            cls = type(node)
-            left = node.left.substitute(mapping) if set(node.left.variables) & set(mapping) else node.left
-            right = node.right.substitute(mapping) if set(node.right.variables) & set(mapping) else node.right
-            return cls(left, right)
-        if isinstance(node, (And, Or, Implies)):
-            return type(node)(rec(node.left), rec(node.right))
-        if isinstance(node, Not):
-            return Not(rec(node.sub))
-        if isinstance(node, (Exists, Forall)):
-            if node.var in mapping:
-                raise VariableMismatch(f"cannot substitute bound variable {node.var}")
-            return type(node)(node.var, rec(node.sub))
-        raise TypeError(node)
-
+    bound = sorted(_bound_vars(f.body) & set(mapping))
+    if bound:
+        raise VariableMismatch(f"cannot substitute bound variable {bound[0]}")
     base = tuple(p for p in f.base_params if p not in mapping)
     free = tuple(v for v in f.free_vars if v not in mapping)
-    return Formula(rec(f.body), base_params=base, free_vars=free)
+    return Formula(_substitute(f.body, mapping), base_params=base, free_vars=free)
 
 
 def eval_formula(f: Formula, s_point, k: FiniteField,
@@ -587,9 +537,7 @@ def eval_formula(f: Formula, s_point, k: FiniteField,
         if name not in s_point:
             raise VariableMismatch(f"s_point missing base parameter {name!r}")
     m = len(f.free_vars)
-    bits = (m + f.quantifier_depth()) * math.log2(k.q)
-    if bits > budget:
-        raise BudgetExceeded(f"{bits:.1f} bits exceeds budget {budget}")
+    check_budget(m + f.quantifier_depth(), k, budget)
     pred = f.compile(k)
     env = k.embed_point(s_point)
     tuples = []

@@ -27,13 +27,12 @@ MAX_ORDER = 512
 
 
 class FiniteGroup:
-    def __init__(self, cayley, name=None, perm_gens=None, skip_checks=False):
+    def __init__(self, cayley, name=None, perm_gens=None):
         self.cayley = tuple(tuple(row) for row in cayley)
         self.n = len(self.cayley)
         self.name = name or f"G{self.n}"
         self.perm_gens = perm_gens
-        if not skip_checks:
-            self._verify()
+        self._verify()
         self._inverse = tuple(self._find_inverse(a) for a in range(self.n))
         self._cyclic_cache = None
         self._class_cache = None
@@ -95,6 +94,9 @@ class FiniteGroup:
 
     def is_subgroup(self, s):
         s = frozenset(s)
+        outside = sorted(x for x in s if not 0 <= x < self.n)
+        if outside:
+            raise NotASubgroup(f"elements {outside} are not in 0..{self.n - 1}")
         if 0 not in s:
             return False
         return all(self.mul(a, b) in s for a in s for b in s)
@@ -211,6 +213,9 @@ def from_permutations(gens, name=None):
         raise GroupLawViolation("need at least one permutation")
     deg = len(gens[0])
     ident = tuple(range(deg))
+    for g in gens:
+        if sorted(g) != list(ident):
+            raise GroupLawViolation(f"generator {list(g)} is not a permutation of 0..{deg - 1}")
     elems = {ident}
     frontier = [tuple(g) for g in gens]
     while frontier:

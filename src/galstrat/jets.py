@@ -15,12 +15,11 @@ minimizing the offset e first and then the slope c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import add
 
-from .errors import BudgetExceeded, NoStabilization
-from .fields import DEFAULT_BUDGET, FiniteField
+from .errors import NoStabilization
+from .fields import DEFAULT_BUDGET, FiniteField, check_budget
 from .motives import lefschetz_power
 from .polynomials import Poly
 
@@ -139,12 +138,6 @@ def substitute_base(ideal: JetIdeal, assignment) -> JetIdeal:
     return JetIdeal(ideal.n, ideal.x_vars, remaining, gens, eqs)
 
 
-def _check_budget(num_vars, k, budget):
-    bits = num_vars * math.log2(k.q)
-    if bits > budget:
-        raise BudgetExceeded(f"{bits:.1f} bits exceeds budget {budget}")
-
-
 def _solutions(ideal: JetIdeal, s_point, k: FiniteField, budget):
     """Depth-first enumeration with prefix pruning.
 
@@ -153,7 +146,7 @@ def _solutions(ideal: JetIdeal, s_point, k: FiniteField, budget):
     triangular structure of jet equations makes the pruning effective.  The
     yielded tuples follow the ideal's variable-major layout.
     """
-    _check_budget(len(ideal.jet_vars), k, budget)
+    check_budget(len(ideal.jet_vars), k, budget)
     order = [jet_var(x, j) for j in range(ideal.n + 1) for x in ideal.x_vars]
     pos_of = {v: i for i, v in enumerate(order)}
     buckets = [[] for _ in range(len(order) + 1)]
@@ -364,7 +357,7 @@ class JetTower:
         parents.append(lifted_parents)
 
     def _reach(self, m):
-        _check_budget((m + 1) * self._width, self.k, self.budget)
+        check_budget((m + 1) * self._width, self.k, self.budget)
         if not self._vectors:
             self._build_root_level()
         while len(self._vectors) <= m:
@@ -442,12 +435,6 @@ class GeometricSeries:
     stabilization: list     # first plateau level m(n) per n
     c: int
     e: int
-
-    def to_json(self):
-        return {"coefficients": self.coefficients,
-                "stabilization": self.stabilization,
-                "greenberg": {"c": self.c, "e": self.e},
-                "note": "empirical: plateau of two consecutive equal images"}
 
 
 def _fit_linear_bound(levels):

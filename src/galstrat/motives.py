@@ -202,10 +202,6 @@ class CountTable:
                 table.set(name, q, q - 1)
         return table
 
-    def to_json(self):
-        return {name: {str(q): str(v) for q, v in sorted(tab.items())}
-                for name, tab in sorted(self.counts.items())}
-
 
 def specialize(m: MotiveClass, q: int, table: CountTable | None = None) -> Fraction:
     """Ring homomorphism: L -> q, [Name] -> table count at q."""

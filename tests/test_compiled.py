@@ -25,6 +25,8 @@ from galstrat.formulas import (
     Not,
     Or,
     eval_formula,
+    parse_formula,
+    to_prenex,
 )
 from galstrat.polynomials import Poly, parse_poly
 
@@ -69,6 +71,32 @@ def holds(node, env, k):
     if isinstance(node, Forall):
         return all(holds(node.sub, {**env, node.var: v}, k) for v in k.elements())
     raise TypeError(node)
+
+
+def binders(node):
+    """Every quantified name in a body, outermost first."""
+    if isinstance(node, (Exists, Forall)):
+        return [node.var] + binders(node.sub)
+    if isinstance(node, (And, Or, Implies)):
+        return binders(node.left) + binders(node.right)
+    if isinstance(node, Not):
+        return binders(node.sub)
+    return []
+
+
+def atoms_defined(node, env, k):
+    """No atom can raise at env: every free name is bound and every
+    coefficient's denominator is invertible in F_q."""
+    if isinstance(node, (Eq, Neq)):
+        polys = (node.left, node.right)
+        return all(poly.used_variables() <= set(env)
+                   and all(c.denominator % k.p for c in poly.terms.values())
+                   for poly in polys)
+    if isinstance(node, (Exists, Forall)):
+        return atoms_defined(node.sub, {**env, node.var: 0}, k)
+    if isinstance(node, Not):
+        return atoms_defined(node.sub, env, k)
+    return atoms_defined(node.left, env, k) and atoms_defined(node.right, env, k)
 
 
 def outcome(fn, *args):
@@ -226,6 +254,48 @@ def test_compiled_formula_matches_holds(body, q, data):
     assert outcome(f.compile(k), compiled_env) == want
     if want[0] == "value":
         assert compiled_env == env  # quantifiers restore what they bind
+    # Binders are standardized apart: each name bound once, none free.
+    names = binders(f.body)
+    assert len(set(names)) == len(names)
+    assert not set(names) & set(VARS)
+    # Prenexing reorders evaluation, so an atom that raises may be reached
+    # on one side only; where no atom can raise, both sides have a value.
+    prenex = outcome(to_prenex(f).compile(k), dict(env))
+    if atoms_defined(body, env, k):
+        assert want[0] == "value"
+        assert prenex == want
+    elif prenex[0] == want[0] == "value":
+        assert prenex == want
+
+
+def _eq(left, right):
+    return Eq(parse_poly(left), parse_poly(right))
+
+
+CAPTURE_TRAPS = [
+    # Renaming the inner `E x` to `x_1` would capture the `x` of `x_1 = x + y`.
+    pytest.param("E x (x = y & E x (x = 1 & E x_1 (x_1 = x + y)))",
+                 Exists("x", And(_eq("x", "y"), Exists("x", And(
+                     _eq("x", "1"), Exists("x_1", _eq("x_1", "x + y")))))),
+                 ["x", "x_2", "x_1"], id="fresh_name_bound_below"),
+    # Renaming the first binder must stop at the second, which shadows it.
+    pytest.param("x = 0 & E x (x = 1 & E x (x = 2))",
+                 And(_eq("x", "0"), Exists("x", And(_eq("x", "1"), Exists("x", _eq("x", "2"))))),
+                 ["x_1", "x_2"], id="shadowed_below"),
+]
+
+
+@pytest.mark.parametrize("text,raw,names", CAPTURE_TRAPS)
+def test_parse_renames_binders_without_capture(text, raw, names):
+    f = parse_formula(text)
+    assert binders(f.body) == names
+    [free] = f.free_vars
+    for q in (3, 5):
+        k = field_from_order(q)
+        want = {(a,) for a in k.elements() if holds(raw, {free: a}, k)}
+        assert want  # each trap holds somewhere, so a capture shows
+        assert eval_formula(f, {}, k).tuples == want
+        assert eval_formula(to_prenex(f), {}, k).tuples == want
 
 
 def test_eval_formula_matches_holds_over_every_point():

@@ -217,10 +217,12 @@ def jets_doc(**changes):
     return doc
 
 
-def strat_doc(admissible=None, cover_admissible=None, kummer_n=2):
+def strat_doc(admissible=None, cover_admissible=None, kummer_n=2, con=None):
     doc = json.loads((FIXTURES / "square_indicator_strat.json").read_text())
     strata = doc["stratification"]["strata"]
     strata[0]["cover"]["n"] = kummer_n
+    if con is not None:
+        strata[0]["con"] = con
     if admissible is not None:
         doc["admissible"] = admissible
     if cover_admissible is not None:
@@ -234,17 +236,26 @@ def bijection_doc(s_points):
     return doc
 
 
-def tabulated_doc(assign, q="5"):
+def tabulated_doc(assign, q="5", group=None):
     return {
         "version": 1,
         "kind": "stratification",
         "stratification": {"coords": ["x"], "strata": [
-            {"cover": {"kind": "tabulated", "group": {"cyclic": 2}, "stratum": "x = x",
+            {"cover": {"kind": "tabulated", "group": group or {"cyclic": 2}, "stratum": "x = x",
                        "assign": {q: assign}},
              "con": [[0]]},
         ]},
         "sweep": {"primes": [5], "s_points": [{}]},
     }
+
+
+def chi_doc(counts=None, classes=None):
+    doc = json.loads((FIXTURES / "kummer_z2_chi.json").read_text())
+    if counts is not None:
+        doc["counts"] = counts
+    if classes is not None:
+        doc["quotient_data"][0]["classes"] = classes
+    return doc
 
 
 SQUARE_CLASSES = {"0": 0, "1": 0, "2": 1, "3": 1, "4": 0}
@@ -293,6 +304,17 @@ MALFORMED = [
     pytest.param("jets", [jets_doc()], "document", id="document_not_an_object"),
     pytest.param("bijection", bijection_doc(s_points=[{"z": "a"}]), "sweep.s_points[0].z",
                  id="sweep_s_point_value_not_a_number"),
+    pytest.param("chi", chi_doc(counts={"Y": 5}), "counts.Y", id="chi_counts_not_per_q"),
+    pytest.param("chi", chi_doc(counts={"Y": {"5": "abc", "13": 12, "17": 16}}), "'abc'",
+                 id="chi_count_not_a_number"),
+    pytest.param("chi", chi_doc(counts={"Y": {"five": 4, "13": 12, "17": 16}}), "'five'",
+                 id="chi_count_field_key_not_integer"),
+    pytest.param("chi", chi_doc(classes={"0": 5, "0,1": "Y"}), 'classes["0"]',
+                 id="chi_class_not_a_name_or_terms"),
+    pytest.param("stratify", strat_doc(con=[[0, 7]]), "not in 0..1",
+                 id="con_element_outside_group"),
+    pytest.param("stratify", tabulated_doc(SQUARE_CLASSES, group={"perm_gens": [[0, 5]]}),
+                 "not a permutation", id="tabulated_perm_gens_not_a_permutation"),
 ]
 
 

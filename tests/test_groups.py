@@ -7,6 +7,7 @@ import pytest
 from galstrat.errors import (
     GroupLawViolation,
     NotAHomomorphism,
+    NotASubgroup,
     NotConjugationStable,
     NotCyclic,
     NotInjective,
@@ -183,3 +184,18 @@ def test_from_permutations_identity_first():
     g = from_permutations([(1, 2, 0)])
     assert g.n == 3
     assert g.permutations[0] == (0, 1, 2)
+
+
+@pytest.mark.parametrize("gens", [[(0, 5)], [(1, 1)], [(1, 0), (0, 2, 1)]])
+def test_from_permutations_rejects_non_permutations(gens):
+    with pytest.raises(GroupLawViolation, match="not a permutation"):
+        from_permutations(gens)
+
+
+@pytest.mark.parametrize("subset", [{0, 7}, {0, -1}])
+def test_elements_outside_the_group_are_rejected(subset):
+    z2 = cyclic_group(2)
+    with pytest.raises(NotASubgroup, match="not in 0..1"):
+        z2.is_subgroup(subset)
+    with pytest.raises(NotASubgroup):
+        ConjDomain(z2, [subset])
