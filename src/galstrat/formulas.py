@@ -1,5 +1,5 @@
 """First-order ring formulas over a parametrized affine base, evaluated by
-exhaustive enumeration over small finite fields.
+enumeration over small finite fields.
 
 Grammar (whitespace-insensitive):
 
@@ -10,8 +10,15 @@ Grammar (whitespace-insensitive):
              | '(' formula ')' | poly ('=' | '!=') poly
 
 Polynomial terms follow the polynomial text syntax.  Quantifiers range over
-the whole field; there is no symbolic quantifier elimination here - this
-module is the semantic oracle that everything else is validated against.
+the whole field.  `eval_formula` treats the free variables and an all-`E`
+prenex prefix as one enumeration: in each conjunct of the prenex DNF
+matrix it solves one variable `v` from an equation `l = r` with
+`l - r = c*v + rest`, where `c` is a constant nonzero in F_q and `rest`
+does not contain `v`, and enumerates the other variables.  This is the
+degree-1 projection of quantifier elimination, whose cover is trivial.  It
+keeps the exhaustive scan when the prefix has an `A`, when the DNF has q
+or more conjuncts, when some conjunct has no such equation, or when some
+coefficient's denominator is divisible by p.
 
 Every `Formula` names each bound variable once: no two quantifiers in its
 body bind the same name, and no binder shares a name with a free variable
@@ -135,6 +142,7 @@ class Formula:
     def __init__(self, body, base_params=(), free_vars=None):
         self.base_params = tuple(base_params)
         self._compiled = {}  # field -> predicate, filled by compile()
+        self._plans = {}  # field -> solve plan or None, filled by solve_plan()
         bound = _bound_vars(body)
         if bound & set(self.base_params):
             raise UnboundVariableCollision(
@@ -170,6 +178,14 @@ class Formula:
         if pred is None:
             pred = self._compiled[k] = _compile_node(self.body, k)
         return pred
+
+    def solve_plan(self, k: FiniteField):
+        """How eval_formula enumerates over F_q, built once per field: per
+        DNF conjunct, (enumerated names, solved name, its value, atom
+        checks); None where it scans (see the module docstring)."""
+        if k not in self._plans:
+            self._plans[k] = _solve_plan(self, k)
+        return self._plans[k]
 
     def quantifier_depth(self):
         def depth(node):
@@ -522,30 +538,147 @@ def conjunction(f: Formula, g: Formula) -> Formula:
 
 def substitute_formula(f: Formula, mapping) -> Formula:
     """Substitute base parameters (or free variables) by rational constants
-    or polynomials; substituted names leave the parameter lists."""
+    or polynomials; substituted names leave the parameter lists, and the
+    values' variables that are neither kept base parameters nor free
+    variables become free variables, after f's."""
     bound = sorted(_bound_vars(f.body) & set(mapping))
     if bound:
         raise VariableMismatch(f"cannot substitute bound variable {bound[0]}")
     base = tuple(p for p in f.base_params if p not in mapping)
     free = tuple(v for v in f.free_vars if v not in mapping)
-    return Formula(_substitute(f.body, mapping), base_params=base, free_vars=free)
+    # Rename binders away from the variables of the values, so that none
+    # captures a substituted occurrence.
+    taken = set(f.free_vars) | set(f.base_params) | set(mapping)
+    for value in mapping.values():
+        if isinstance(value, Poly):
+            taken.update(value.variables)
+    body = _substitute(_standardize(f.body, taken, _bound_vars(f.body)), mapping)
+    free += tuple(v for v in _free_vars_node(body) if v not in base and v not in free)
+    return Formula(body, base_params=base, free_vars=free)
+
+
+def _require_base_params(f: Formula, s_point):
+    for name in f.base_params:
+        if name not in s_point:
+            raise VariableMismatch(f"s_point missing base parameter {name!r}")
 
 
 def eval_formula(f: Formula, s_point, k: FiniteField,
                  budget: float = DEFAULT_BUDGET) -> DefinableSet:
-    for name in f.base_params:
-        if name not in s_point:
-            raise VariableMismatch(f"s_point missing base parameter {name!r}")
+    _require_base_params(f, s_point)
     m = len(f.free_vars)
     check_budget(m + f.quantifier_depth(), k, budget)
-    pred = f.compile(k)
+    plan = f.solve_plan(k)
     env = k.embed_point(s_point)
+    if plan is not None:
+        return DefinableSet(k, s_point, f.free_vars, _solve(plan, f.free_vars, env, k.q))
+    pred = f.compile(k)
     tuples = []
     for point in itertools.product(range(k.q), repeat=m):
         env.update(zip(f.free_vars, point))
         if pred(env):
             tuples.append(point)
     return DefinableSet(k, s_point, f.free_vars, tuples)
+
+
+# -- solving linear atoms ----------------------------------------------------------------
+
+def _conjunct_count(node):
+    """Number of conjuncts in the DNF of an NNF matrix, without building it."""
+    if isinstance(node, Or):
+        return _conjunct_count(node.left) + _conjunct_count(node.right)
+    if isinstance(node, And):
+        return _conjunct_count(node.left) * _conjunct_count(node.right)
+    return 1
+
+
+def _atoms(node):
+    """The atoms of an And/Or tree, left to right."""
+    if isinstance(node, (And, Or)):
+        return _atoms(node.left) + _atoms(node.right)
+    return [node]
+
+
+def _disjuncts(node):
+    if isinstance(node, Or):
+        return _disjuncts(node.left) + _disjuncts(node.right)
+    return [node]
+
+
+def _solve_plan(f: Formula, k: FiniteField):
+    prefix, matrix = _pull_quantifiers(_nnf(f.body))
+    # With fewer than q conjuncts, conjuncts * q^(n-1) < q^n: solving never
+    # enumerates more tuples than the scan.
+    if any(kind is not Exists for kind, _ in prefix) or _conjunct_count(matrix) >= k.q:
+        return None
+    # The scan raises DenominatorNotInvertible exactly where it reaches such
+    # an atom, which solving could not reproduce.
+    if any(c.denominator % k.p == 0 for atom in _atoms(matrix)
+           for poly in (atom.left, atom.right) for c in poly.terms.values()):
+        return None
+    names = tuple(f.free_vars) + tuple(var for _, var in prefix)
+    plan = []
+    for conjunct in _disjuncts(_to_dnf(matrix)):
+        step = _solve_step(_atoms(conjunct), names, f.free_vars, k)
+        if step is None:
+            return None
+        plan.append(step)
+    return plan
+
+
+def _solve_step(atoms, names, free_vars, k):
+    """Solve the first equation of the conjunct that is linear in one of
+    `names` (the first such name) with a coefficient nonzero mod p.  The
+    step enumerates the free variables and the bound names that the solved
+    value or the other atoms use; a bound name used by neither does not
+    change the projection."""
+    diffs = [(atom.left - atom.right, isinstance(atom, Eq)) for atom in atoms]
+    for i, (d, is_eq) in enumerate(diffs):
+        if not is_eq:
+            continue
+        for v in names:
+            split = _linear_split(d, v)
+            if split is None or split[0].numerator % k.p == 0:
+                continue
+            c, rest = split
+            value = rest * (-1 / c)
+            others = diffs[:i] + diffs[i + 1:]
+            used = value.used_variables().union(*(g.used_variables() for g, _ in others))
+            enumerated = tuple(u for u in names if u != v and (u in free_vars or u in used))
+            return enumerated, v, value.compile(k), [(g.compile(k), eq) for g, eq in others]
+    return None
+
+
+def _linear_split(d: Poly, v):
+    """(c, rest) with d = c*v + rest, c a rational constant and v not in rest;
+    None if d has no such form."""
+    if v not in d.variables:
+        return None
+    i = d.variables.index(v)
+    c, rest = None, {}
+    for expo, coef in d.terms.items():
+        if not expo[i]:
+            rest[expo] = coef
+        elif expo[i] == 1 and sum(expo) == 1:
+            c = coef
+        else:
+            return None
+    return None if c is None else (c, Poly(d.variables, rest))
+
+
+def _solve(plan, free_vars, env, q):
+    """The union over conjuncts of the projections onto free_vars."""
+    found = set()
+    for names, var, value, checks in plan:
+        for point in itertools.product(range(q), repeat=len(names)):
+            env.update(zip(names, point))
+            env[var] = value(env)
+            for g, eq in checks:
+                if (g(env) == 0) != eq:
+                    break
+            else:
+                found.add(tuple([env[u] for u in free_vars]))
+    return found
 
 
 # -- definable bijections -------------------------------------------------------------
@@ -598,12 +731,25 @@ def bijection_fiber_report(psi: Formula, phi1: Formula, phi2: Formula,
             "free vars of psi must be the disjoint union of those of phi1 and phi2")
     order = tuple(phi1.free_vars) + tuple(phi2.free_vars)
     psi_ordered = Formula(psi.body, base_params=psi.base_params, free_vars=order)
+    formulas = (psi_ordered, phi1, phi2)
+    # A body that uses no base parameter has the same set in every fiber.
+    fixed = [set(_free_vars_node(g.body)).isdisjoint(g.base_params) for g in formulas]
     report = []
     for k in fields:
+        once = [None] * len(formulas)  # the sets over k of the fixed formulas
         for s_point in s_points:
-            zpsi = eval_formula(psi_ordered, s_point, k, budget)
-            z1 = eval_formula(phi1, s_point, k, budget)
-            z2 = eval_formula(phi2, s_point, k, budget)
+            sets = []
+            for i, g in enumerate(formulas):
+                z = once[i]
+                if z is None:
+                    z = eval_formula(g, s_point, k, budget)
+                    if fixed[i]:
+                        once[i] = z
+                else:  # the checks eval_formula makes of the base point
+                    _require_base_params(g, s_point)
+                    k.embed_point(s_point)
+                sets.append(z)
+            zpsi, z1, z2 = sets
             bad = _check_graph(zpsi, z1, z2, len(phi1.free_vars))
             report.append({
                 "field": k,

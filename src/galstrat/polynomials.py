@@ -188,20 +188,6 @@ class Poly:
         """Value at a point with coordinates in F_q (ints)."""
         return self.compile(k)(assign)
 
-    def eval_field_reference(self, assign, k: FiniteField):
-        """Term-by-term field arithmetic; the test oracle for compile()."""
-        for v in self.used_variables():
-            if v not in assign:
-                raise MissingVariable(v)
-        acc = 0
-        for expo, coef in self.terms.items():
-            val = k.embed_fraction(coef)
-            for v, e in zip(self.variables, expo):
-                if e:
-                    val = k.mul(val, k.pow(assign[v], e))
-            acc = k.add(acc, val)
-        return acc
-
     def eval_rational(self, assign):
         acc = Fraction(0)
         for expo, coef in self.terms.items():

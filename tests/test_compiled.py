@@ -2,15 +2,18 @@
 
 Field add/neg against base-p digit arithmetic, Poly.compile against the
 term-by-term reference evaluator and against exact rational evaluation
-reduced mod p, and Formula.compile against a tree-walking evaluator.
+reduced mod p, and Formula.compile and eval_formula (which solves linear
+atoms) against a tree-walking evaluator.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galstrat import polynomials
 from galstrat.errors import DenominatorNotInvertible, MissingVariable
 from galstrat.fields import FiniteField, make_field
 from galstrat.fixtures import field_from_order
@@ -52,11 +55,26 @@ def reduce_mod_p(value: Fraction, p):
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
+def eval_reference(f, assign, k):
+    """Term-by-term field arithmetic; the oracle for Poly.compile."""
+    for v in f.used_variables():
+        if v not in assign:
+            raise MissingVariable(v)
+    acc = 0
+    for expo, coef in f.terms.items():
+        val = k.embed_fraction(coef)
+        for v, e in zip(f.variables, expo):
+            if e:
+                val = k.mul(val, k.pow(assign[v], e))
+        acc = k.add(acc, val)
+    return acc
+
+
 def holds(node, env, k):
     """Tree-walking truth of a formula body, polynomials evaluated term by term."""
     if isinstance(node, (Eq, Neq)):
-        equal = (node.left.eval_field_reference(env, k)
-                 == node.right.eval_field_reference(env, k))
+        equal = (eval_reference(node.left, env, k)
+                 == eval_reference(node.right, env, k))
         return equal if isinstance(node, Eq) else not equal
     if isinstance(node, And):
         return holds(node.left, env, k) and holds(node.right, env, k)
@@ -71,6 +89,12 @@ def holds(node, env, k):
     if isinstance(node, Forall):
         return all(holds(node.sub, {**env, node.var: v}, k) for v in k.elements())
     raise TypeError(node)
+
+
+def definable_set(f, s_point, k):
+    """{t : holds(body, t)} over every point of F_q^m."""
+    return {point for point in itertools.product(k.elements(), repeat=len(f.free_vars))
+            if holds(f.body, {**s_point, **dict(zip(f.free_vars, point))}, k)}
 
 
 def binders(node):
@@ -194,7 +218,7 @@ def test_compiled_poly_matches_reference(f, q, data):
     names = data.draw(st.lists(st.sampled_from(f.variables), unique=True))
     assign = {v: data.draw(elements(k)) for v in names}
     evaluate = f.compile(k)  # compiling never raises
-    assert outcome(evaluate, assign) == outcome(f.eval_field_reference, assign, k)
+    assert outcome(evaluate, assign) == outcome(eval_reference, f, assign, k)
     assert f.compile(k) is evaluate
 
 
@@ -303,6 +327,136 @@ def test_eval_formula_matches_holds_over_every_point():
                 free_vars=("x", "z"))
     for q in (5, 8, 9):
         k = field_from_order(q)
-        want = {(x, z) for x in k.elements() for z in k.elements()
-                if holds(f.body, {"x": x, "z": z}, k)}
-        assert eval_formula(f, {}, k).tuples == want
+        assert eval_formula(f, {}, k).tuples == definable_set(f, {}, k)
+
+
+# -- solving linear atoms ---------------------------------------------------------------
+
+LINEAR_FREE = ("x", "y")
+LINEAR_NAMES = LINEAR_FREE + ("u", "w", "s")  # u, w bound; s a base parameter
+LINEAR_FIELDS = [2, 3, 4, 5, 8, 9]
+
+# Numerators and denominators that the characteristics 2, 3 and 5 divide.
+linear_coefficients = st.builds(Fraction, st.integers(-6, 6),
+                                st.sampled_from([1, 1, 1, 1, 2, 3, 5]))
+
+
+@st.composite
+def linear_polys(draw):
+    """Mostly sums of c*v and constants; sometimes a monomial of degree 2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        expo = [0] * len(LINEAR_NAMES)
+        kind = draw(st.sampled_from(["constant"] + ["linear"] * 4 + ["square"]))
+        for _ in range({"constant": 0, "linear": 1, "square": 2}[kind]):
+            expo[draw(st.integers(0, len(LINEAR_NAMES) - 1))] += 1
+        terms[tuple(expo)] = terms.get(tuple(expo), 0) + draw(linear_coefficients)
+    return Poly(LINEAR_NAMES, terms)
+
+
+@st.composite
+def linear_matrices(draw, size=2):
+    kind = draw(st.sampled_from(["c*v", "c*v", "eq", "neq"]
+                                + (["and", "and", "or", "not"] if size else [])))
+    if kind == "c*v":
+        v = draw(st.sampled_from(LINEAR_NAMES[:4]))
+        return Eq(draw(linear_coefficients) * Poly.variable(v, LINEAR_NAMES), draw(linear_polys()))
+    if kind in ("eq", "neq"):
+        return (Eq if kind == "eq" else Neq)(draw(linear_polys()), draw(linear_polys()))
+    if kind == "not":
+        return Not(draw(linear_matrices(size - 1)))
+    return (And if kind == "and" else Or)(draw(linear_matrices(size - 1)),
+                                         draw(linear_matrices(size - 1)))
+
+
+@st.composite
+def linear_formulas(draw):
+    """Mostly existential: u and w bound by E or, now and then, by A."""
+    body = draw(linear_matrices())
+    for var in ("w", "u"):
+        kind = draw(st.sampled_from([Exists] * 5 + [Forall]))
+        body = kind(var, body)
+    return Formula(body, base_params=("s",), free_vars=LINEAR_FREE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_formulas(), st.sampled_from(LINEAR_FIELDS), st.data())
+def test_eval_formula_matches_holds_on_linear_atoms(f, q, data):
+    k = field_from_order(q)
+    s_point = {"s": data.draw(elements(k))}
+    got = outcome(lambda: eval_formula(f, s_point, k).tuples)
+    assert got == outcome(definable_set, f, s_point, k)
+
+
+def _linear_case(text, q, solves):
+    return pytest.param(text, q, solves, id=f"{text} over F_{q}")
+
+
+LINEAR_CASES = [
+    # The coefficient of x vanishes mod 3, so y is solved.
+    _linear_case("3*x = y", 3, "y"),
+    _linear_case("3*x = y + 3*x^2", 3, "y"),
+    # A denominator that p divides: the scan raises where it reaches it.
+    _linear_case("E u (x = u/3 + y)", 3, None),
+    _linear_case("E u (x = u/3 + y)", 5, "x"),
+    _linear_case("A u (x*u = y)", 5, None),
+    _linear_case("E u (u = x) & A w (w*x = y)", 5, None),
+    _linear_case("(x = y + 1 | y = 2*x) & x != s", 5, "x"),
+    # One conjunct has no linear atom.
+    _linear_case("x = y | x^2 = y^2", 5, None),
+    _linear_case("x*y = 1 | x = 1", 5, None),
+    # Two conjuncts are not below q = 2.
+    _linear_case("x = y | x = y + 1", 2, None),
+    _linear_case("x = y | x = y + 1", 3, "x"),
+    # A base parameter in rest, and a bound variable solved.
+    _linear_case("E u (x + s*u = y & u^2 = s)", 9, "x"),
+    _linear_case("E u (x*y = u + s & u != 1)", 8, "u"),
+]
+
+
+@pytest.mark.parametrize("text,q,solves", LINEAR_CASES)
+def test_eval_formula_solves_or_scans(text, q, solves):
+    f = parse_formula(text, base_params=("s",), free_vars=LINEAR_FREE)
+    k = field_from_order(q)
+    plan = f.solve_plan(k)
+    assert (plan and plan[0][1]) == solves
+    for s in range(k.q):
+        assert (outcome(lambda: eval_formula(f, {"s": s}, k).tuples)
+                == outcome(definable_set, f, {"s": s}, k))
+
+
+def count_evaluations(monkeypatch):
+    """Calls of the evaluators that Poly.compile builds from now on."""
+    calls = []
+    compile_poly = polynomials._compile
+
+    def counting(f, k):
+        evaluate = compile_poly(f, k)
+
+        def counted(env):
+            calls.append(None)
+            return evaluate(env)
+        return counted
+
+    monkeypatch.setattr(polynomials, "_compile", counting)
+    return calls
+
+
+def test_solving_takes_one_evaluation_per_point_and_atom(monkeypatch):
+    # The benchmark's translated formulas: the determined variable is free,
+    # so without solving it, both are q^2 scans per fiber.
+    calls = count_evaluations(monkeypatch)
+    k = field_from_order(243)
+    squares = parse_formula("E x (x^2 = (z + 577) & ~(x = 0))")
+    got = eval_formula(squares, {}, k).tuples
+    assert len(calls) <= 3 * k.q
+    c = k.embed_fraction(Fraction(577))
+    assert got == {(k.sub(k.mul(x, x), c),) for x in k.elements() if x}
+
+    calls.clear()
+    k = field_from_order(27)
+    psi = parse_formula("(x1 + 367) = (x2 + 379) + 1", base_params=("z",))
+    got = eval_formula(psi, {"z": 5}, k).tuples
+    assert len(calls) <= 3 * k.q
+    shift = k.embed_fraction(Fraction(379 + 1 - 367))
+    assert got == {(k.add(x2, shift), x2) for x2 in k.elements()}

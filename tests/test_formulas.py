@@ -11,6 +11,7 @@ from galstrat.errors import (
     UnboundVariableCollision,
     VariableMismatch,
 )
+from galstrat import formulas
 from galstrat.fields import make_field
 from galstrat.formulas import (
     And,
@@ -24,8 +25,10 @@ from galstrat.formulas import (
     check_definable_bijection,
     eval_formula,
     parse_formula,
+    substitute_formula,
     to_prenex,
 )
+from galstrat.polynomials import Poly
 
 
 def test_parse_exists_conjunction():
@@ -208,6 +211,19 @@ def test_missing_base_param():
         eval_formula(f, {}, make_field(5))
 
 
+def test_substitute_does_not_capture_the_variables_of_values():
+    f = parse_formula("E y (y = s)", base_params=("s",))
+    g = substitute_formula(f, {"s": Poly.variable("y")})
+    assert str(g) == "E y_1 (y_1 = y)"
+    assert (g.free_vars, g.base_params) == (("y",), ())
+    # Captured, E y (y*y = 1) would be a sentence true over F_5.
+    f = parse_formula("E y (y*s = 1)", base_params=("s",), free_vars=("x",))
+    g = substitute_formula(f, {"s": Poly.variable("y")})
+    assert g.free_vars == ("x", "y")
+    assert eval_formula(g, {}, make_field(5)).sorted_tuples() == [
+        (x, y) for x in range(5) for y in range(1, 5)]
+
+
 # -- definable bijections --------------------------------------------------------------
 
 def test_bijection_paper_instance_shifted_square():
@@ -256,3 +272,28 @@ def test_fiber_report_lists_every_fiber():
     assert all(entry["passed"] for entry in report)
     sizes = [entry["sizes"] for entry in report]
     assert sizes[0] == (1, 1, 5)  # z=0: single root each; psi cuts the full line
+
+
+def test_fiber_report_evaluates_a_parameter_free_formula_once_per_field(monkeypatch):
+    phi1 = parse_formula("x1^2 = z", base_params=("z",))
+    phi2 = parse_formula("(x2 + 1)^2 = z", base_params=("z",))
+    psi = parse_formula("x1 = x2 + 1", base_params=("z",))
+    fields = [make_field(5), make_field(2, 2)]
+    points = [{"z": z} for z in range(4)]
+    evaluated = []
+    evaluate = formulas.eval_formula
+    monkeypatch.setattr(formulas, "eval_formula",
+                        lambda f, *args: evaluated.append(f) or evaluate(f, *args))
+    report = bijection_fiber_report(psi, phi1, phi2, fields, points)
+    assert len(evaluated) == len(fields) * (1 + 2 * len(points))
+    assert [(e["field"], e["s_point"]) for e in report] == [(k, p) for k in fields for p in points]
+    for entry in report:
+        fiber = (entry["s_point"], entry["field"])
+        assert entry["passed"]
+        assert entry["sizes"] == tuple(len(evaluate(f, *fiber)) for f in (phi1, phi2, psi))
+    # A cached set still checks the base point of every fiber.
+    with pytest.raises(VariableMismatch):
+        bijection_fiber_report(parse_formula("x1 = x2", base_params=("z",)),
+                               parse_formula("x1 = 0", base_params=("z",)),
+                               parse_formula("x2 = 0", base_params=("z",)),
+                               fields, [{"z": 0}, {}])
