@@ -17,8 +17,10 @@ matrix it solves one variable `v` from an equation `l = r` with
 does not contain `v`, and enumerates the other variables.  This is the
 degree-1 projection of quantifier elimination, whose cover is trivial.  It
 keeps the exhaustive scan when the prefix has an `A`, when the DNF has q
-or more conjuncts, when some conjunct has no such equation, or when some
-coefficient's denominator is divisible by p.
+or more conjuncts, when some conjunct has no such equation, when some
+conjunct would enumerate as many variables as the free variables plus the
+quantifier depth, or when some coefficient's denominator is divisible by
+p.  So solving never enumerates more tuples than the budget charges.
 
 Every `Formula` names each bound variable once: no two quantifiers in its
 body bind the same name, and no binder shares a name with a free variable
@@ -538,38 +540,40 @@ def conjunction(f: Formula, g: Formula) -> Formula:
 
 def substitute_formula(f: Formula, mapping) -> Formula:
     """Substitute base parameters (or free variables) by rational constants
-    or polynomials; substituted names leave the parameter lists, and the
-    values' variables that are neither kept base parameters nor free
-    variables become free variables, after f's."""
+    or polynomials; substituted names leave the parameter lists.  A value
+    substituted into the body may use only the kept base parameters and
+    free variables, which no binder shares a name with, so none is
+    captured."""
     bound = sorted(_bound_vars(f.body) & set(mapping))
     if bound:
         raise VariableMismatch(f"cannot substitute bound variable {bound[0]}")
     base = tuple(p for p in f.base_params if p not in mapping)
     free = tuple(v for v in f.free_vars if v not in mapping)
-    # Rename binders away from the variables of the values, so that none
-    # captures a substituted occurrence.
-    taken = set(f.free_vars) | set(f.base_params) | set(mapping)
-    for value in mapping.values():
-        if isinstance(value, Poly):
-            taken.update(value.variables)
-    body = _substitute(_standardize(f.body, taken, _bound_vars(f.body)), mapping)
-    free += tuple(v for v in _free_vars_node(body) if v not in base and v not in free)
-    return Formula(body, base_params=base, free_vars=free)
+    occurring = set(_free_vars_node(f.body))
+    for name, value in mapping.items():
+        if name in occurring and isinstance(value, Poly):
+            undeclared = value.used_variables() - set(base) - set(free)
+            if undeclared:
+                raise VariableMismatch(
+                    f"free occurrence of {sorted(undeclared)} not declared")
+    return Formula(_substitute(f.body, mapping), base_params=base, free_vars=free)
 
 
-def _require_base_params(f: Formula, s_point):
+def _base_env(f: Formula, s_point, k: FiniteField, budget):
+    """The environment of the base point, after eval_formula's checks of
+    its input: every base parameter given, the search within the budget."""
     for name in f.base_params:
         if name not in s_point:
             raise VariableMismatch(f"s_point missing base parameter {name!r}")
+    check_budget(len(f.free_vars) + f.quantifier_depth(), k, budget)
+    return k.embed_point(s_point)
 
 
 def eval_formula(f: Formula, s_point, k: FiniteField,
                  budget: float = DEFAULT_BUDGET) -> DefinableSet:
-    _require_base_params(f, s_point)
+    env = _base_env(f, s_point, k, budget)
     m = len(f.free_vars)
-    check_budget(m + f.quantifier_depth(), k, budget)
     plan = f.solve_plan(k)
-    env = k.embed_point(s_point)
     if plan is not None:
         return DefinableSet(k, s_point, f.free_vars, _solve(plan, f.free_vars, env, k.q))
     pred = f.compile(k)
@@ -607,8 +611,11 @@ def _disjuncts(node):
 
 def _solve_plan(f: Formula, k: FiniteField):
     prefix, matrix = _pull_quantifiers(_nnf(f.body))
-    # With fewer than q conjuncts, conjuncts * q^(n-1) < q^n: solving never
-    # enumerates more tuples than the scan.
+    # The budget charges q^n tuples, n = free variables + quantifier depth.
+    # With fewer than q conjuncts, each enumerating fewer than n variables,
+    # solving enumerates fewer than conjuncts * q^(n-1) < q^n tuples.  The
+    # prefix alone can be longer than the depth: sibling binders under `&`
+    # are pulled into one block, but the scan runs them one after another.
     if any(kind is not Exists for kind, _ in prefix) or _conjunct_count(matrix) >= k.q:
         return None
     # The scan raises DenominatorNotInvertible exactly where it reaches such
@@ -617,10 +624,11 @@ def _solve_plan(f: Formula, k: FiniteField):
            for poly in (atom.left, atom.right) for c in poly.terms.values()):
         return None
     names = tuple(f.free_vars) + tuple(var for _, var in prefix)
+    charged = len(f.free_vars) + f.quantifier_depth()
     plan = []
     for conjunct in _disjuncts(_to_dnf(matrix)):
         step = _solve_step(_atoms(conjunct), names, f.free_vars, k)
-        if step is None:
+        if step is None or len(step[0]) >= charged:
             return None
         plan.append(step)
     return plan
@@ -745,9 +753,8 @@ def bijection_fiber_report(psi: Formula, phi1: Formula, phi2: Formula,
                     z = eval_formula(g, s_point, k, budget)
                     if fixed[i]:
                         once[i] = z
-                else:  # the checks eval_formula makes of the base point
-                    _require_base_params(g, s_point)
-                    k.embed_point(s_point)
+                else:  # the checks eval_formula makes of its input
+                    _base_env(g, s_point, k, budget)
                 sets.append(z)
             zpsi, z1, z2 = sets
             bad = _check_graph(zpsi, z1, z2, len(phi1.free_vars))

@@ -411,6 +411,10 @@ LINEAR_CASES = [
     # A base parameter in rest, and a bound variable solved.
     _linear_case("E u (x + s*u = y & u^2 = s)", 9, "x"),
     _linear_case("E u (x*y = u + s & u != 1)", 8, "u"),
+    # Sibling binders: the prefix is longer than the quantifier depth, and
+    # the solve step would enumerate as many variables as the budget charges.
+    _linear_case("E u (x = u + y) & E w (w = x)", 5, None),
+    _linear_case("E u E w (x = u + y & w = x)", 5, "x"),
 ]
 
 
@@ -460,3 +464,17 @@ def test_solving_takes_one_evaluation_per_point_and_atom(monkeypatch):
     assert len(calls) <= 3 * k.q
     shift = k.embed_fraction(Fraction(379 + 1 - 367))
     assert got == {(k.add(x2, shift), x2) for x2 in k.elements()}
+
+
+def test_sibling_existentials_are_scanned(monkeypatch):
+    # One conjunct, linear in x; solving x would enumerate u, w, t and r
+    # (q^4 tuples) where the budget charges q^2 and the scan makes at most
+    # q^2 evaluations per atom.
+    calls = count_evaluations(monkeypatch)
+    k = field_from_order(16)
+    f = parse_formula("E u (x = u^2) & E w (w^2 = x + 1) & E t (t^2 = x + 2)"
+                      " & E r (r^2 = x + 3)")
+    assert f.solve_plan(k) is None
+    got = eval_formula(f, {}, k).tuples
+    assert len(calls) <= 2 * 4 * k.q ** 2  # two sides per atom
+    assert got == definable_set(f, {}, k)

@@ -212,16 +212,23 @@ def test_missing_base_param():
 
 
 def test_substitute_does_not_capture_the_variables_of_values():
+    # Captured, E y (y = s) with s -> y would be the sentence E y (y = y).
     f = parse_formula("E y (y = s)", base_params=("s",))
-    g = substitute_formula(f, {"s": Poly.variable("y")})
-    assert str(g) == "E y_1 (y_1 = y)"
-    assert (g.free_vars, g.base_params) == (("y",), ())
-    # Captured, E y (y*y = 1) would be a sentence true over F_5.
+    with pytest.raises(VariableMismatch, match=r"\['y'\] not declared"):
+        substitute_formula(f, {"s": Poly.variable("y")})
     f = parse_formula("E y (y*s = 1)", base_params=("s",), free_vars=("x",))
-    g = substitute_formula(f, {"s": Poly.variable("y")})
-    assert g.free_vars == ("x", "y")
-    assert eval_formula(g, {}, make_field(5)).sorted_tuples() == [
-        (x, y) for x in range(5) for y in range(1, 5)]
+    with pytest.raises(VariableMismatch, match=r"\['y'\] not declared"):
+        substitute_formula(f, {"s": Poly.variable("y")})
+    # Without capture the value's variable must be declared too.
+    with pytest.raises(VariableMismatch, match=r"\['t'\] not declared"):
+        substitute_formula(f, {"s": Poly.variable("t")})
+    # A declared variable is never a binder's name, so it stays free.
+    g = substitute_formula(f, {"s": Poly.variable("x")})
+    assert (str(g), g.free_vars, g.base_params) == ("E y (y*x = 1)", ("x",), ())
+    assert eval_formula(g, {}, make_field(5)).sorted_tuples() == [(x,) for x in range(1, 5)]
+    # A name that does not occur takes any value.
+    f = parse_formula("x = s", base_params=("s", "t"))
+    assert substitute_formula(f, {"t": Poly.variable("y")}).free_vars == ("x",)
 
 
 # -- definable bijections --------------------------------------------------------------
