@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,12 +23,20 @@ from .fixtures import load_fixture, sweep_pairs
 from .formulas import bijection_fiber_report, eval_formula
 from .stratifications import GaloisFormula, eliminate_existential, validate_elimination
 
-COMMANDS = ("eval", "bijection", "stratify", "eliminate", "chi", "jets")
+# The fixture kind each command consumes.
+COMMANDS = {
+    "eval": "formula",
+    "bijection": "formula",
+    "stratify": "stratification",
+    "eliminate": "elimination",
+    "chi": "chi",
+    "jets": "jets",
+}
 
 
 def _sweep(fixture, args):
     sweep = dict(fixture.sweep)
-    if args.primes:
+    if args.primes is not None:
         try:
             sweep["primes"] = [int(x) for x in args.primes.split(",")]
         except ValueError:
@@ -45,14 +54,27 @@ def _payload(fixture, command, *names):
     return [fixture.payload[name] for name in names]
 
 
-def _fiber_key(s_point):
-    return ",".join(f"{k}={v}" for k, v in sorted(s_point.items())) or "-"
+def _row(q, s_point, **found):
+    """One report row: the fiber (q, s_point) and what the command found there."""
+    key = ",".join(f"{name}={value}" for name, value in sorted(s_point.items())) or "-"
+    return {"q": q, "s_point": key, **found}
+
+
+def _set_row(k, s_point, z):
+    return _row(k.q, s_point, count=len(z), tuples=[list(t) for t in z.sorted_tuples()])
 
 
 def run(command, fixture, options) -> dict:
-    """Dispatch one command against a loaded fixture; returns the report."""
+    """Dispatch one command against a loaded fixture; returns the report.
+
+    Every command runs over the fixture's one fiber list, which `fibers`
+    expands once.  A command first builds what it needs from the fixture,
+    so a faulty input is reported before a faulty sweep.
+    """
     budget = options.get("budget", DEFAULT_BUDGET)
     sweep = options["sweep"]
+    fibers = functools.partial(sweep_pairs, sweep, fixture.base_params, fixture.admissible)
+    payload = fixture.payload
     report = {
         "command": command,
         "fixture_sha256": fixture.digest,
@@ -60,58 +82,33 @@ def run(command, fixture, options) -> dict:
         "results": [],
         "verdict": "Pass",
     }
+    rows = report["results"]
 
     if command == "eval":
         [f] = _payload(fixture, command, "formula")
-        pairs = sweep_pairs(sweep, f.base_params, fixture.admissible)
-        for k, s_point in pairs:
-            z = eval_formula(f, s_point, k, budget)
-            report["results"].append({
-                "q": k.q, "s_point": _fiber_key(s_point),
-                "count": len(z), "tuples": [list(t) for t in z.sorted_tuples()],
-            })
+        for k, s_point in fibers():
+            rows.append(_set_row(k, s_point, eval_formula(f, s_point, k, budget)))
 
     elif command == "bijection":
         psi, phi1, phi2 = _payload(fixture, command, "psi", "phi1", "phi2")
-        pairs = sweep_pairs(sweep, psi.base_params, fixture.admissible)
-        points_by_q = {}
-        for k, s_point in pairs:
-            points_by_q.setdefault(k, []).append(s_point)
-        for k, pts in points_by_q.items():
-            fibers = bijection_fiber_report(psi, phi1, phi2, [k], pts, budget)
-            for entry in fibers:
-                report["results"].append({
-                    "q": k.q, "s_point": _fiber_key(entry["s_point"]),
-                    "passed": entry["passed"],
-                    "sizes": list(entry["sizes"]),
-                    "witness": list(entry["witness"]) if entry["witness"] else None,
-                })
-                if not entry["passed"]:
-                    report["verdict"] = "Fail"
+        for entry in bijection_fiber_report(psi, phi1, phi2, fibers(), budget):
+            rows.append(_row(entry["field"].q, entry["s_point"],
+                             passed=entry["passed"], sizes=list(entry["sizes"]),
+                             witness=list(entry["witness"]) if entry["witness"] else None))
+            if not entry["passed"]:
+                report["verdict"] = "Fail"
         report["caveat"] = ("verified on finitely many closed fibers only; "
                             "the generic fiber is out of reach of the proxy")
 
     elif command == "stratify":
-        strat = fixture.payload["stratification"]
-        admissible = fixture.admissible.merge(strat.admissible())
-        pairs = sweep_pairs(sweep, strat.base_params, admissible)
-        for k, s_point in pairs:
-            z = strat.galois_set(s_point, k)
-            report["results"].append({
-                "q": k.q, "s_point": _fiber_key(s_point),
-                "count": len(z), "tuples": [list(t) for t in z.sorted_tuples()],
-            })
+        strat = payload["stratification"]
+        for k, s_point in fibers():
+            rows.append(_set_row(k, s_point, strat.galois_set(s_point, k)))
 
     elif command == "eliminate":
-        strat = fixture.payload["input"]
-        plan = fixture.payload["plan"]
-        prefix = fixture.payload["prefix"]
-        gf = GaloisFormula(prefix, strat)
-        admissible = fixture.admissible.merge(strat.admissible())
-        pairs = sweep_pairs(sweep, strat.base_params, admissible)
-        out = eliminate_existential(gf, plan)
-        # a fiber whose sets differ raises SemanticMismatch, so every row matches
-        rows = validate_elimination(gf, out, pairs)
+        gf = GaloisFormula(payload["prefix"], payload["input"])
+        pairs = fibers()
+        out = eliminate_existential(gf, payload["plan"])
         report["output"] = {
             "coords": list(out.strat.coords),
             "strata": [
@@ -119,51 +116,35 @@ def run(command, fixture, options) -> dict:
                 for cover, con in out.strat.strata
             ],
         }
-        for k, s_point, count in rows:
-            report["results"].append({
-                "q": k.q, "s_point": _fiber_key(s_point),
-                "projection_count": count, "output_count": count,
-                "match": True,
-            })
+        # a fiber whose sets differ raises SemanticMismatch, so every row matches
+        for k, s_point, count in validate_elimination(gf, out, pairs):
+            rows.append(_row(k.q, s_point, projection_count=count, output_count=count,
+                             match=True))
 
     elif command == "chi":
-        strat = fixture.payload["stratification"]
-        data = fixture.payload["quotient_data"]
-        counts = fixture.payload["counts"]
-        symbolic = chi_stratification(strat, data)
-        admissible = fixture.admissible.merge(strat.admissible())
-        pairs = sweep_pairs(sweep, strat.base_params, admissible)
-        chi_report = verify_specialization(symbolic, strat, counts, pairs)
+        strat = payload["stratification"]
+        symbolic = chi_stratification(strat, payload["quotient_data"])
+        chi_report = verify_specialization(symbolic, strat, payload["counts"], fibers())
         report["class"] = str(symbolic)
         for row in chi_report.rows:
-            report["results"].append({
-                "q": row["q"], "s_point": _fiber_key(row["s_point"]),
-                "specialized": str(row["specialized"]),
-                "count": row["count"], "match": row["match"],
-            })
+            rows.append(_row(row["q"], row["s_point"], specialized=str(row["specialized"]),
+                             count=row["count"], match=row["match"]))
         if not chi_report.verdict:
             report["verdict"] = "Fail"
 
     elif command == "jets":
-        eqs = fixture.payload["equations"]
-        level = fixture.payload["level"]
-        x_vars = fixture.payload["x_vars"]
-        base_params = fixture.payload["base_params"]
-        depth_cap = fixture.payload["depth_cap"]
-        pairs = sweep_pairs(sweep, base_params, fixture.admissible)
+        level = payload["level"]
+        pairs = fibers()
         # one expansion serves every fiber; the depth_cap ideal contains every level
-        top = jets.jet_ideal(eqs, depth_cap, x_vars, base_params)
+        top = jets.jet_ideal(payload["equations"], payload["depth_cap"], payload["x_vars"],
+                             fixture.base_params)
         for k, s_point in pairs:
             tower = jets.JetTower(top, s_point, k, budget)
             igusa = [tower.count(n) for n in range(level + 1)]
             geom = tower.geometric_series(level)
-            report["results"].append({
-                "q": k.q, "s_point": _fiber_key(s_point),
-                "igusa": igusa,
-                "geometric": geom.coefficients,
-                "stabilization": geom.stabilization,
-                "greenberg": {"c": geom.c, "e": geom.e},
-            })
+            rows.append(_row(k.q, s_point, igusa=igusa, geometric=geom.coefficients,
+                             stabilization=geom.stabilization,
+                             greenberg={"c": geom.c, "e": geom.e}))
 
     else:
         raise SchemaError([f"unknown command {command!r}"])
@@ -187,10 +168,10 @@ def main(argv=None) -> int:
         if not math.isfinite(args.budget):
             raise SchemaError([f"--budget must be a finite number of bits, got {args.budget}"])
         fixture = load_fixture(args.fixture)
-        if fixture.kind != _expected_kind(args.command):
-            raise SchemaError(
-                [f"command {args.command!r} needs a {_expected_kind(args.command)!r} "
-                 f"fixture, got {fixture.kind!r}"])
+        kind = COMMANDS[args.command]
+        if fixture.kind != kind:
+            raise SchemaError([f"command {args.command!r} needs a {kind!r} fixture, "
+                               f"got {fixture.kind!r}"])
         options = {"budget": args.budget, "sweep": _sweep(fixture, args)}
         report = run(args.command, fixture, options)
         text = json.dumps(report, indent=2, sort_keys=True)
@@ -209,17 +190,6 @@ def main(argv=None) -> int:
         return 2
     print(text)
     return 0 if report["verdict"] == "Pass" else 1
-
-
-def _expected_kind(command):
-    return {
-        "eval": "formula",
-        "bijection": "formula",
-        "stratify": "stratification",
-        "eliminate": "elimination",
-        "chi": "chi",
-        "jets": "jets",
-    }[command]
 
 
 if __name__ == "__main__":

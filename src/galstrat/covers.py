@@ -171,6 +171,20 @@ class CoverSpec:
         """Cyclic subgroup generated by Frobenius (class = subgroup for abelian)."""
         return self.group.cyclic_subgroup(self.frobenius_element(s_point, a, k))
 
+    def signature(self):
+        """Kind, group, stratum and Frobenius data: two descriptors give the same
+        cover exactly when their signatures are equal.  A callable in it (a
+        tabulated assignment, a product's embedding) equals only itself."""
+        sig = (self.kind, self.group.cayley, str(self.stratum))
+        if self.kind == "kummer":
+            return sig + (self.data["n"], str(self.data["f"]))
+        if self.kind == "tabulated":
+            return sig + (self.data["assign"],)
+        if self.kind == "product":
+            return sig + (self.data["embed_element"],
+                          tuple(cover.signature() for cover in self.data["factors"]))
+        return sig
+
     def substitute_base(self, mapping) -> "CoverSpec":
         """Specialize base parameters inside the stratum formula and cover data."""
         stratum = substitute_formula(self.stratum, mapping)

@@ -58,6 +58,10 @@ class BudgetExceeded(GalstratError):
     pass
 
 
+class InvalidBudget(GalstratError):
+    """A budget that is not a finite number of bits, which no search could exceed."""
+
+
 class VariableMismatch(GalstratError):
     pass
 

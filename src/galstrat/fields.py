@@ -23,6 +23,7 @@ from .errors import (
     CapExceeded,
     DenominatorNotInvertible,
     IncompatibleModulus,
+    InvalidBudget,
     NonPrime,
     NotSquarefree,
     ZeroInput,
@@ -37,6 +38,8 @@ DEFAULT_BUDGET = 24.0
 
 def check_budget(num_vars, k, budget):
     """Refuse a search over F_q^num_vars of more than 2^budget points."""
+    if not math.isfinite(budget):
+        raise InvalidBudget(f"budget must be a finite number of bits, got {budget}")
     bits = num_vars * math.log2(k.q)
     if bits > budget:
         raise BudgetExceeded(f"{bits:.1f} bits exceeds budget {budget}")
@@ -109,14 +112,14 @@ def _irreducible(m, p):
 class FiniteField:
     """The field F_q, q = p^e, with fixed modulus and generator."""
 
-    def __init__(self, p: int, e: int, cap: int = DEFAULT_CAP):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise NonPrime(p)
         if e < 1:
             raise CapExceeded(f"extension degree must be >= 1, got {e}")
         q = p ** e
-        if q > cap or q < 2:
-            raise CapExceeded(f"q = {q} outside [2, {cap}]")
+        if q > DEFAULT_CAP or q < 2:
+            raise CapExceeded(f"q = {q} outside [2, {DEFAULT_CAP}]")
         self.p = p
         self.e = e
         self.q = q
@@ -290,10 +293,10 @@ class FiniteField:
 _FIELD_CACHE: dict = {}
 
 
-def make_field(p: int, e: int = 1, cap: int = DEFAULT_CAP) -> FiniteField:
-    key = (p, e, cap)
+def make_field(p: int, e: int = 1) -> FiniteField:
+    key = (p, e)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, e, cap)
+        _FIELD_CACHE[key] = FiniteField(p, e)
     return _FIELD_CACHE[key]
 
 

@@ -159,13 +159,15 @@ def _require(doc, schema, base=""):
 # -- documents to engine objects ------------------------------------------------------
 
 class FixtureDoc:
-    def __init__(self, version, kind, payload, admissible, sweep, raw, digest):
-        self.version = version
+    """A loaded document.  Its fibers are the sweep's points of `base_params`
+    at the field orders `admissible` allows, its stratification's included."""
+
+    def __init__(self, kind, payload, base_params, admissible, sweep, digest):
         self.kind = kind
         self.payload = payload
+        self.base_params = base_params
         self.admissible = admissible
         self.sweep = sweep
-        self.raw = raw
         self.digest = digest
 
 
@@ -396,11 +398,10 @@ def load_fixture(path) -> FixtureDoc:
         errors.extend(exc.violations)
         admissible = ALL_PRIMES
     sweep = load_sweep(doc["sweep"], errors)
+    base_params = tuple(doc.get("base_params", ()))
     payload = {}
 
     if kind == "formula":
-        base_params = tuple(doc.get("base_params", ()))
-        payload["base_params"] = base_params
         for name in ("formula", "psi", "phi1", "phi2"):
             if name in doc:
                 try:
@@ -440,7 +441,6 @@ def load_fixture(path) -> FixtureDoc:
             payload["equations"] = []
             errors.append(f"equations: {exc}")
         x_vars = payload["x_vars"] = tuple(doc.get("x_vars", ())) or None
-        base_params = payload["base_params"] = tuple(doc.get("base_params", ()))
         if x_vars is not None:
             for i, eq in enumerate(payload["equations"]):
                 unknown = sorted(eq.used_variables() - set(x_vars) - set(base_params))
@@ -455,4 +455,8 @@ def load_fixture(path) -> FixtureDoc:
 
     if errors:
         raise SchemaError(errors)
-    return FixtureDoc(doc["version"], kind, payload, admissible, sweep, doc, digest)
+    strat = payload.get("stratification", payload.get("input"))
+    if strat is not None:
+        base_params = strat.base_params
+        admissible = admissible.merge(strat.admissible())
+    return FixtureDoc(kind, payload, base_params, admissible, sweep, digest)

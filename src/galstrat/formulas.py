@@ -731,8 +731,8 @@ def _check_graph(zpsi, z1, z2, n1):
 
 
 def bijection_fiber_report(psi: Formula, phi1: Formula, phi2: Formula,
-                           fields, s_points, budget: float = DEFAULT_BUDGET):
-    """Per-(field, s_point) verdicts; the generic-vs-closed-fiber harness."""
+                           pairs, budget: float = DEFAULT_BUDGET):
+    """One verdict per (field, s_point) pair; the generic-vs-closed-fiber harness."""
     if set(psi.free_vars) != set(phi1.free_vars) | set(phi2.free_vars) \
             or set(phi1.free_vars) & set(phi2.free_vars):
         raise VariableMismatch(
@@ -742,35 +742,35 @@ def bijection_fiber_report(psi: Formula, phi1: Formula, phi2: Formula,
     formulas = (psi_ordered, phi1, phi2)
     # A body that uses no base parameter has the same set in every fiber.
     fixed = [set(_free_vars_node(g.body)).isdisjoint(g.base_params) for g in formulas]
+    once = {}  # (field, i) -> the set over that field of the fixed formula i
     report = []
-    for k in fields:
-        once = [None] * len(formulas)  # the sets over k of the fixed formulas
-        for s_point in s_points:
-            sets = []
-            for i, g in enumerate(formulas):
-                z = once[i]
-                if z is None:
-                    z = eval_formula(g, s_point, k, budget)
-                    if fixed[i]:
-                        once[i] = z
-                else:  # the checks eval_formula makes of its input
-                    _base_env(g, s_point, k, budget)
-                sets.append(z)
-            zpsi, z1, z2 = sets
-            bad = _check_graph(zpsi, z1, z2, len(phi1.free_vars))
-            report.append({
-                "field": k,
-                "s_point": dict(s_point),
-                "passed": bad is None,
-                "witness": bad,
-                "sizes": (len(z1), len(z2), len(zpsi)),
-            })
+    for k, s_point in pairs:
+        sets = []
+        for i, g in enumerate(formulas):
+            z = once.get((k, i))
+            if z is None:
+                z = eval_formula(g, s_point, k, budget)
+                if fixed[i]:
+                    once[k, i] = z
+            else:  # the checks eval_formula makes of its input
+                _base_env(g, s_point, k, budget)
+            sets.append(z)
+        zpsi, z1, z2 = sets
+        bad = _check_graph(zpsi, z1, z2, len(phi1.free_vars))
+        report.append({
+            "field": k,
+            "s_point": dict(s_point),
+            "passed": bad is None,
+            "witness": bad,
+            "sizes": (len(z1), len(z2), len(zpsi)),
+        })
     return report
 
 
 def check_definable_bijection(psi, phi1, phi2, fields, s_points,
                               budget: float = DEFAULT_BUDGET) -> BijectionVerdict:
-    report = bijection_fiber_report(psi, phi1, phi2, fields, s_points, budget)
+    pairs = [(k, s_point) for k in fields for s_point in s_points]
+    report = bijection_fiber_report(psi, phi1, phi2, pairs, budget)
     for entry in report:
         if not entry["passed"]:
             return BijectionVerdict(False,

@@ -15,6 +15,7 @@ minimizing the offset e first and then the slope c.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import add
 
@@ -280,7 +281,6 @@ class JetTower:
         self.ideal = ideal
         self.k = k
         self.budget = budget
-        self._s_point = s_point
         self._env = k.embed_point(s_point)
         self._width = len(ideal.x_vars)
         self._equations = len(ideal.gens) // (ideal.n + 1)
@@ -303,13 +303,19 @@ class JetTower:
                 for e in range(self._equations)]
 
     def _build_root_level(self):
+        """Scan F_q^|x| in the search's level-0 order; `_reach` charged the budget."""
         ideal, k, env = self.ideal, self.k, self._env
-        level0 = _solutions(ideal.truncate(0), self._s_point, k, self.budget)
+        names0, gens0 = self._names(0), self._generators(0)
+        level0 = []
+        for x0 in itertools.product(range(k.q), repeat=self._width):
+            env.update(zip(names0, x0))
+            if not any(g(env) for g in gens0):
+                level0.append(x0)
         roots, solvers, smooth = [], [], 0
         if ideal.n == 0:
             roots.extend(level0)
         else:
-            names0, names1 = self._names(0), self._names(1)
+            names1 = self._names(1)
             env.update(dict.fromkeys(names1, 0))
             gens = self._generators(1)
             for x0 in level0:

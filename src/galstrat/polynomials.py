@@ -358,15 +358,13 @@ class _Tokens:
         return tok, pos
 
 
-def parse_poly(text: str, variables=None) -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse polynomial text; unknown identifiers become variables."""
     toks = _Tokens(text)
     poly = _parse_sum(toks)
     tok, pos = toks.peek()
     if tok is not None:
         raise FormulaSyntaxError(f"unexpected token {tok!r}", pos)
-    if variables is not None:
-        poly = poly.with_variables(tuple(variables))
     return poly
 
 

@@ -238,13 +238,6 @@ def inflate_domain(con: ConjDomain, psi: GroupHom) -> ConjDomain:
 
 # -- boolean operations ------------------------------------------------------------
 
-def _cover_signature(cover: CoverSpec):
-    sig = (cover.kind, cover.group.cayley, str(cover.stratum))
-    if cover.kind == "kummer":
-        sig += (cover.data["n"], str(cover.data["f"]))
-    return sig
-
-
 def boolean_combine(a: GaloisStratification, b: GaloisStratification,
                     mode: str) -> GaloisStratification:
     if a.coords != b.coords:
@@ -253,7 +246,7 @@ def boolean_combine(a: GaloisStratification, b: GaloisStratification,
         raise CommonRefinementRequired("different number of strata")
     new_strata = []
     for (ca, cona), (cb, conb) in zip(a.strata, b.strata):
-        if _cover_signature(ca) != _cover_signature(cb):
+        if ca.signature() != cb.signature():
             raise CommonRefinementRequired(
                 f"strata differ: {ca.label} vs {cb.label}; refine/inflate first")
         if mode == "or":

@@ -1,10 +1,12 @@
 """Exact-algebra foundation: fields, power residues, factor profiles."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from galstrat import errors
 from galstrat.errors import (
     CapExceeded,
     DenominatorNotInvertible,
@@ -20,6 +22,8 @@ from galstrat.fields import (
     make_field,
     power_residue,
 )
+from galstrat.formulas import eval_formula, parse_formula
+from galstrat.jets import JetTower, count_jets, jet_ideal
 from galstrat.polynomials import parse_poly, poly_eval
 
 
@@ -251,3 +255,22 @@ def test_distinct_degree_profile_rejects_non_squarefree():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+# -- the enumeration budget --------------------------------------------------------
+
+SEARCHES = {
+    "eval_formula": lambda k, budget: eval_formula(parse_formula("x = 0"), {}, k, budget),
+    "JetTower.count": lambda k, budget: JetTower(jet_ideal([parse_poly("x*y")], 1),
+                                                 {}, k, budget).count(1),
+    "count_jets": lambda k, budget: count_jets(jet_ideal([parse_poly("x*y")], 1), {}, k, budget),
+}
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_non_finite_budget_rejected(search, budget):
+    # Each search is tiny, so only the budget check can stop it.
+    SEARCHES[search](make_field(5), 24.0)
+    with pytest.raises(errors.InvalidBudget):
+        SEARCHES[search](make_field(5), budget)

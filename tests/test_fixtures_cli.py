@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from galstrat import fixtures
+from galstrat import cli, fixtures
 from galstrat.cli import main, run
 from galstrat.errors import SchemaError
 from galstrat.fixtures import field_from_order, load_fixture
@@ -103,6 +103,29 @@ def test_cli_all_commands_pass(capsys):
         assert report["fixture_sha256"]
 
 
+@pytest.mark.parametrize("command,name", [
+    ("eval", "squares_formula.json"),
+    ("bijection", "shifted_square_bijection.json"),
+    ("stratify", "square_indicator_strat.json"),
+    ("eliminate", "case1_squaring.json"),
+    ("chi", "kummer_z2_chi.json"),
+    ("jets", "xy_jets.json"),
+])
+def test_cli_expands_the_sweep_once(command, name, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fixtures.sweep_pairs(*args)
+
+    monkeypatch.setattr(cli, "sweep_pairs", counting)
+    assert main([command, str(FIXTURES / name)]) == 0
+    fixture = load_fixture(FIXTURES / name)
+    [(sweep, base_params, admissible)] = calls
+    assert (sweep, base_params) == (fixture.sweep, fixture.base_params)
+    assert admissible.describe() == fixture.admissible.describe()
+
+
 def test_cli_prime_override(capsys):
     code = main(["eval", str(FIXTURES / "squares_formula.json"), "--primes", "11,13"])
     report = json.loads(capsys.readouterr().out)
@@ -162,7 +185,7 @@ def test_cli_out_file(tmp_path, capsys):
     assert out_path.read_text().strip() == shown.strip()
 
 
-@pytest.mark.parametrize("primes", ["abc", "5,,7", "5;7"])
+@pytest.mark.parametrize("primes", ["abc", "5,,7", "5;7", ""])
 def test_cli_malformed_primes_schema_error(primes, capsys):
     code = main(["eval", str(FIXTURES / "squares_formula.json"), "--primes", primes])
     report = json.loads(capsys.readouterr().out)

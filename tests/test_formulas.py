@@ -274,7 +274,7 @@ def test_fiber_report_lists_every_fiber():
     phi2 = parse_formula("(x2 + 1)^2 = z", base_params=("z",))
     psi = parse_formula("x1 = x2 + 1", base_params=("z",))
     k = make_field(5)
-    report = bijection_fiber_report(psi, phi1, phi2, [k], [{"z": z} for z in range(5)])
+    report = bijection_fiber_report(psi, phi1, phi2, [(k, {"z": z}) for z in range(5)])
     assert len(report) == 5
     assert all(entry["passed"] for entry in report)
     sizes = [entry["sizes"] for entry in report]
@@ -291,7 +291,7 @@ def test_fiber_report_evaluates_a_parameter_free_formula_once_per_field(monkeypa
     evaluate = formulas.eval_formula
     monkeypatch.setattr(formulas, "eval_formula",
                         lambda f, *args: evaluated.append(f) or evaluate(f, *args))
-    report = bijection_fiber_report(psi, phi1, phi2, fields, points)
+    report = bijection_fiber_report(psi, phi1, phi2, [(k, p) for k in fields for p in points])
     assert len(evaluated) == len(fields) * (1 + 2 * len(points))
     assert [(e["field"], e["s_point"]) for e in report] == [(k, p) for k in fields for p in points]
     for entry in report:
@@ -303,4 +303,4 @@ def test_fiber_report_evaluates_a_parameter_free_formula_once_per_field(monkeypa
         bijection_fiber_report(parse_formula("x1 = x2", base_params=("z",)),
                                parse_formula("x1 = 0", base_params=("z",)),
                                parse_formula("x2 = 0", base_params=("z",)),
-                               fields, [{"z": 0}, {}])
+                               [(k, p) for k in fields for p in ({"z": 0}, {})])

@@ -274,6 +274,19 @@ def test_cli_jets_expands_each_system_once(monkeypatch, capsys):
     assert calls == [6]  # depth_cap 6, for F_2 and F_3 together
 
 
+def test_cli_jets_does_not_use_the_search(monkeypatch, capsys):
+    """The search is the tower's oracle, so the tower must not reach level 0 through it."""
+    assert cli.main(["jets", str(FIXTURES / "xy_jets.json")]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("the tower ran the exhaustive search")
+
+    monkeypatch.setattr(jets, "_solutions", refuse)
+    assert cli.main(["jets", str(FIXTURES / "xy_jets.json")]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # -- the expansion against substitution -------------------------------------------------
 
 def expand_by_substitution(eqs, n, x_vars):

@@ -221,6 +221,39 @@ def test_boolean_combine_requires_common_stratification():
         boolean_combine(a, other, "or")
 
 
+def test_boolean_combine_tells_frobenius_data_apart():
+    # Two Z/2 covers of the line that differ only in their Frobenius assignment.
+    def parity(flip):
+        def assign(s_point, a, k):
+            return a[0] % 2 ^ flip
+        return CoverSpec.tabulated(Z2, parse_formula("x = x"), assign)
+
+    def strat(cover):
+        return GaloisStratification(("x",), [(cover, ConjDomain(Z2, [frozenset({0})]))])
+
+    even, odd = strat(parity(0)), strat(parity(1))
+    assert even.galois_set({}, F5).tuples == {(0,), (2,), (4,)}
+    assert odd.galois_set({}, F5).tuples == {(1,), (3,)}
+    for mode in ("and", "or"):
+        with pytest.raises(CommonRefinementRequired):
+            boolean_combine(even, odd, mode)
+    assert boolean_combine(even, even, "and").galois_set({}, F5).tuples == {(0,), (2,), (4,)}
+
+    # Product covers: the factors count, and so does the embedding.
+    line, second = parse_formula("x = x & y = y"), parity(0)
+
+    def pair(first, embed):
+        return CoverSpec.product((first, second), line, Z2, embed)
+
+    def embed(e1, e2):
+        return e1 ^ e2
+
+    same = pair(even.strata[0][0], embed)
+    assert same.signature() == pair(even.strata[0][0], embed).signature()
+    assert same.signature() != pair(odd.strata[0][0], embed).signature()
+    assert same.signature() != pair(even.strata[0][0], lambda e1, e2: e1 ^ e2).signature()
+
+
 def test_complement_examples():
     a = square_indicator()
     c = complement(a)
