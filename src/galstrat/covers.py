@@ -25,6 +25,8 @@ from .formulas import Formula, fresh_conjunction, holds_at, parse_formula, subst
 from .groups import FiniteGroup, cyclic_group, trivial_group
 from .polynomials import Poly, parse_poly
 
+KUMMER_ZERO = "Kummer function vanishes on the stratum"
+
 
 class AdmissiblePrimes:
     """Congruence conditions on the field order q plus an exclusion list."""
@@ -143,7 +145,7 @@ class CoverSpec:
             def kummer(a):
                 value = value_at(a)
                 if value == 0:
-                    raise PointOffStratum("Kummer function vanishes on the stratum")
+                    raise PointOffStratum(KUMMER_ZERO)
                 return power_residue(value, n, k)
 
             return kummer
@@ -157,6 +159,18 @@ class CoverSpec:
                 lo = hi
             return lambda a: embed(*(frob(a[lo:hi]) for frob, lo, hi in blocks))
         raise WitnessInvalid(f"unknown cover kind {self.kind!r}")
+
+    def residue_leaf(self, k: FiniteField, con):
+        """(f, n, residues) when frobenius_map reads its element at a as the
+        power residue of f(a), which is log(f(a)) mod n (`power_residue`):
+        a Kummer cover with n | q - 1, residues being the elements whose
+        class lies in con.  None for any other cover.  A zero f(a) raises
+        PointOffStratum(KUMMER_ZERO) in both readings."""
+        if self.kind != "kummer" or (k.q - 1) % self.data["n"]:
+            return None
+        n = self.data["n"]
+        return self.data["f"], n, frozenset(
+            r for r in range(n) if self.group.cyclic_subgroup(r) in con)
 
     def frobenius_element(self, s_point, a, k: FiniteField) -> int:
         """The distinguished generator of the decomposition class at a.
@@ -172,10 +186,12 @@ class CoverSpec:
         return self.group.cyclic_subgroup(self.frobenius_element(s_point, a, k))
 
     def signature(self):
-        """Kind, group, stratum and Frobenius data: two descriptors give the same
-        cover exactly when their signatures are equal.  A callable in it (a
-        tabulated assignment, a product's embedding) equals only itself."""
-        sig = (self.kind, self.group.cayley, str(self.stratum))
+        """Kind, group, stratum, admissible primes and Frobenius data: two
+        descriptors give the same cover exactly when their signatures are
+        equal.  A callable in it (a tabulated assignment, a product's
+        embedding) equals only itself."""
+        sig = (self.kind, self.group.cayley, str(self.stratum),
+               frozenset(self.admissible.congruences), self.admissible.exclude)
         if self.kind == "kummer":
             return sig + (self.data["n"], str(self.data["f"]))
         if self.kind == "tabulated":

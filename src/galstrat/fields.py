@@ -304,18 +304,14 @@ def power_residue(c: int, n: int, k: FiniteField) -> int:
     """Index i in Z/n with c^((q-1)/n) = gen^(i*(q-1)/n).
 
     This is the discrete invariant of the Frobenius action on the degree-n
-    Kummer cover through the point c; additive in c (mod n).
+    Kummer cover through the point c; additive in c (mod n).  With c = gen^l,
+    c^((q-1)/n) = gen^((l mod n)(q-1)/n), so the index is log(c) mod n.
     """
     if c == 0:
         raise ZeroInput("power residue of 0")
     if n < 1 or (k.q - 1) % n != 0:
         raise IncompatibleModulus(f"{n} does not divide q-1 = {k.q - 1}")
-    step = (k.q - 1) // n
-    t = k.pow(c, step)
-    lg = k.log(t)
-    if lg % step != 0:
-        raise IncompatibleModulus("inconsistent generator tables")  # unreachable
-    return (lg // step) % n
+    return k.log(c) % n
 
 
 # ---------------------------------------------------------------------------

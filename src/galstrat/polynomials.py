@@ -239,7 +239,9 @@ def _frac_str(fr: Fraction) -> str:
 
 
 def _compile(f: Poly, k: FiniteField):
-    used = tuple(f.used_variables())
+    # in f.variables order, so MissingVariable names the same variable in every run
+    used = f.used_variables()
+    used = tuple(v for v in f.variables if v in used)
     terms = []
     for expo, coef in f.terms.items():
         if coef.denominator % k.p == 0:

@@ -50,9 +50,10 @@ class GaloisStratification:
             if extra:
                 raise VariableMismatch(
                     f"stratum formula uses non-ambient variables {sorted(extra)}")
-        # where each stratum's free variables sit in an ambient point
-        self._slots = tuple(tuple(self.coords.index(v) for v in cover.stratum.free_vars)
-                            for cover, _ in self.strata)
+        # base parameters the strata read
+        self._params = tuple(dict.fromkeys(
+            name for cover, _ in self.strata for name in cover.stratum.base_params
+            if name not in self.coords))
 
     @property
     def ambient_dim(self):
@@ -74,52 +75,33 @@ class GaloisStratification:
 
     # -- semantics ---------------------------------------------------------------
 
-    def _fiber(self, s_point, k):
-        """Membership test of one fiber (k, s_point), as a pair of closures.
+    def _scan(self, s_point, k, locate=False):
+        """The classifier of one fiber (k, s_point): a function of an
+        iterable of ambient points.
 
-        locate(a) is the index of the unique stratum holding the ambient
-        point a; member(a) says whether a lies in the Galois set.  The base
-        point is embedded and each stratum formula compiled once per fiber.
-        Only a stratum with a non-empty domain builds its cover's Frobenius
-        map, when its first point arrives, and reads a in its free-variable order.
+        It returns the points that lie in the Galois set or, with locate,
+        the index of the unique stratum holding the first point.  Its code
+        is compiled once per source text (see `scan.ScanSource`); per fiber
+        the base point is embedded once, and a stratum with a non-empty
+        domain builds its cover's Frobenius map when its first point arrives.
         """
+        from .scan import ScanSource  # on first use: other commands never compile it
         env = k.embed_point(s_point)
-        tests = [cover.stratum.compile(k) for cover, _ in self.strata]
-        maps = [None] * len(self.strata)
-        coords, strata, slots = self.coords, self.strata, self._slots
-
-        def locate(a):
-            env.update(zip(coords, a))
-            hits = [i for i, holds in enumerate(tests) if holds(env)]
-            if len(hits) != 1:
-                raise PartitionViolation(a, len(hits))
-            return hits[0]
-
-        def member(a):
-            i = locate(a)
-            cover, con = strata[i]
-            if con.is_empty():
-                return False
-            if maps[i] is None:
-                maps[i] = cover.frobenius_map(s_point, k)
-            element = maps[i](tuple(a[j] for j in slots[i]))
-            return cover.group.cyclic_subgroup(element) in con
-
-        return locate, member
+        bound = tuple(name for name in self._params if name in env)
+        make, consts = ScanSource(self, k, bound).plan(locate)
+        strata = self.strata
+        return make(k.p, k._log, env, [env[name] for name in bound], consts,
+                    lambda i: strata[i][0].frobenius_map(s_point, k), [None] * len(strata))
 
     def stratum_of(self, s_point, a, k):
-        locate, _ = self._fiber(s_point, k)
-        return locate(a)
+        return self._scan(s_point, k, locate=True)((a,))
 
     def member(self, s_point, a, k) -> bool:
-        _, member = self._fiber(s_point, k)
-        return member(a)
+        return bool(self._scan(s_point, k)((a,)))
 
     def galois_set(self, s_point, k) -> DefinableSet:
-        _, member = self._fiber(s_point, k)
-        tuples = [a for a in itertools.product(range(k.q), repeat=self.ambient_dim)
-                  if member(a)]
-        return DefinableSet(k, s_point, self.coords, tuples)
+        points = itertools.product(range(k.q), repeat=self.ambient_dim)
+        return DefinableSet(k, s_point, self.coords, self._scan(s_point, k)(points))
 
     def substitute_base(self, mapping) -> "GaloisStratification":
         strata = [(cover.substitute_base(mapping), con) for cover, con in self.strata]
@@ -203,12 +185,11 @@ def check_pullback_contract(pb: GaloisStratification, strat: GaloisStratificatio
     for k, s_point in sweep:
         maps = [var_map[v].compile(k) for v in strat.coords]
         env = k.embed_point(s_point)
-        _, in_pb = pb._fiber(s_point, k)
-        _, in_strat = strat._fiber(s_point, k)
+        in_pb, in_strat = pb._scan(s_point, k), strat._scan(s_point, k)
         for a in itertools.product(range(k.q), repeat=pb.ambient_dim):
             env.update(zip(pb.coords, a))
             fa = tuple(f(env) for f in maps)
-            if in_pb(a) != in_strat(fa):
+            if bool(in_pb((a,))) != bool(in_strat((fa,))):
                 raise SemanticMismatch("pullback contract fails", (k.q, s_point, a))
 
 

@@ -2,8 +2,9 @@
 
 Field add/neg against base-p digit arithmetic, Poly.compile against the
 term-by-term reference evaluator and against exact rational evaluation
-reduced mod p, and Formula.compile and eval_formula (which solves linear
-atoms) against a tree-walking evaluator.
+reduced mod p, Formula.compile and eval_formula (which solves linear
+atoms) against a tree-walking evaluator, and the generated fiber scan of a
+stratification against classifying each point with that evaluator.
 """
 
 import itertools
@@ -13,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galstrat import polynomials
-from galstrat.errors import DenominatorNotInvertible, MissingVariable
+from galstrat import covers, polynomials
+from galstrat.covers import CoverSpec
+from galstrat.errors import (
+    DenominatorNotInvertible,
+    GalstratError,
+    IncompatibleModulus,
+    MissingVariable,
+    PartitionViolation,
+    PointOffStratum,
+)
 from galstrat.fields import FiniteField, make_field
 from galstrat.fixtures import field_from_order
 from galstrat.formulas import (
@@ -31,7 +40,9 @@ from galstrat.formulas import (
     parse_formula,
     to_prenex,
 )
+from galstrat.groups import ConjDomain, cyclic_group
 from galstrat.polynomials import Poly, parse_poly
+from galstrat.stratifications import GaloisStratification
 
 EXTENSIONS = [4, 8, 9, 25, 27, 125, 3125]
 PRIMES = [2, 3, 5, 7, 13]
@@ -478,3 +489,218 @@ def test_sibling_existentials_are_scanned(monkeypatch):
     got = eval_formula(f, {}, k).tuples
     assert len(calls) <= 2 * 4 * k.q ** 2  # two sides per atom
     assert got == definable_set(f, {}, k)
+
+
+# -- the generated fiber scan ----------------------------------------------------------
+
+# Names that the scan's own source uses; as coordinates or base parameters
+# they must not shadow anything.
+SCAN_NAMES = ("for", "p", "q", "points", "v0", "c0")
+SCAN_BASE = ("b0", "log")
+SCAN_FIELDS = [2, 3, 5, 7, 11, 13, 31, 53, 97, 4, 8, 9, 16, 25, 27, 125, 3125]
+Z3 = cyclic_group(3)
+
+
+def scan_polys(variables, max_exp=2):
+    """One to three terms, mostly in the coordinates; a denominator is now
+    and then divisible by p."""
+    exponents = [st.sampled_from([0, 0, 0, 1]) if v in SCAN_BASE else st.integers(0, max_exp)
+                 for v in variables]
+    terms = st.dictionaries(st.tuples(*exponents), linear_coefficients, min_size=1, max_size=3)
+    return terms.map(lambda t: Poly(variables, t))
+
+
+@st.composite
+def scan_bodies(draw, free, bound, quantifiers, size=2):
+    """Stratum bodies over `free`; a quantifier binds the next name of `bound`."""
+    kinds = ["eq", "neq"] + (["not", "and", "or", "implies"] if size else [])
+    kinds += ["exists", "forall"] if quantifiers and bound else []
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("eq", "neq"):
+        left, right = draw(scan_polys(free)), draw(scan_polys(free, max_exp=1))
+        return (Eq if kind == "eq" else Neq)(left, right)
+    if kind == "not":
+        return Not(draw(scan_bodies(free, bound, quantifiers, size - 1)))
+    if kind in ("exists", "forall"):
+        var = bound[0]
+        sub = draw(scan_bodies(free + (var,), bound[1:], quantifiers - 1, size))
+        return (Exists if kind == "exists" else Forall)(var, sub)
+    cls = {"and": And, "or": Or, "implies": Implies}[kind]
+    return cls(draw(scan_bodies(free, bound, quantifiers, size - 1)),
+               draw(scan_bodies(free, bound, quantifiers, size - 1)))
+
+
+def parity_assign(s_point, a, k):
+    return sum(a) % 3
+
+
+@st.composite
+def scan_covers(draw, stratum, coords):
+    """A trivial, Kummer or tabulated cover of the stratum, and a domain."""
+    kind = draw(st.sampled_from(["trivial", "kummer", "bare_kummer", "tabulated"]))
+    if kind == "trivial":
+        cover = CoverSpec.trivial(stratum)
+    elif kind == "tabulated":
+        cover = CoverSpec.tabulated(Z3, stratum, parity_assign)
+    else:
+        n = draw(st.sampled_from([2, 3, 4, 1]))
+        f = draw(scan_polys(coords + SCAN_BASE))
+        # Default admissibility is q = 1 mod n; with every q admitted, a q
+        # with n not dividing q - 1 reaches the power residue.
+        admissible = draw(st.sampled_from([None, covers.ALL_PRIMES]))
+        if kind == "kummer":  # the stratum is conjoined with f != 0
+            cover = CoverSpec.kummer(n, f, stratum, admissible=admissible)
+        else:  # f may vanish on the stratum
+            cover = CoverSpec("kummer", cyclic_group(n), stratum,
+                              admissible or covers.AdmissiblePrimes([(n, 1 % n)]), n=n, f=f)
+    subs = sorted(cover.group.cyclic_subgroups(), key=sorted)
+    size = draw(st.sampled_from([1, 0]))
+    return cover, ConjDomain(cover.group, draw(st.lists(st.sampled_from(subs), unique=True,
+                                                         min_size=size)))
+
+
+@st.composite
+def scan_cases(draw):
+    """(stratification, s_point, field): a decision list of bodies is a
+    partition; now and then the raw bodies overlap or leave gaps."""
+    k = field_from_order(draw(st.sampled_from(SCAN_FIELDS)))
+    names = draw(st.permutations(SCAN_NAMES))
+    m = min(draw(st.sampled_from([1, 2, 0])), 2 if k.q <= 31 else 1)
+    coords = tuple(names[:m])
+    quantifiers = 1 if k.q <= 27 else 0
+    conds = [draw(scan_bodies(coords + SCAN_BASE, tuple(names[m:]), quantifiers))
+             for _ in range(draw(st.sampled_from([1, 2, 0])))]
+    if draw(st.sampled_from([True] * 4 + [False])):
+        bodies, rest = [], None
+        for cond in conds:
+            bodies.append(cond if rest is None else And(rest, cond))
+            rest = Not(cond) if rest is None else And(rest, Not(cond))
+        bodies.append(rest if rest is not None else Eq(Poly.constant(0), Poly.constant(0)))
+    else:
+        bodies = conds
+    strata = [draw(scan_covers(Formula(body, base_params=SCAN_BASE, free_vars=coords), coords))
+              for body in bodies]
+    if draw(st.booleans()):  # never reached: its cover may not be admissible
+        never = Formula(Eq(Poly.constant(0), Poly.constant(1)), SCAN_BASE, coords)
+        strata.append((CoverSpec.kummer(5, Poly.constant(1), never),
+                       ConjDomain.full(cyclic_group(5))))
+    s_point = {v: draw(elements(k)) for v in SCAN_BASE
+               if draw(st.sampled_from([True] * 9 + [False]))}
+    return GaloisStratification(coords, strata, base_params=SCAN_BASE), s_point, k
+
+
+def residue_oracle(c, n, k):
+    """The i in Z/n with c^((q-1)/n) = gen^(i (q-1)/n), by search."""
+    if c == 0:
+        raise PointOffStratum("Kummer function vanishes on the stratum")
+    if (k.q - 1) % n:
+        raise IncompatibleModulus(n)
+    step = (k.q - 1) // n
+    [i] = [i for i in range(n) if k.pow(c, step) == k.pow(k.gen, i * step)]
+    return i
+
+
+def classify(strat, s_point, k, point):
+    """(stratum index, membership) of one point by tree-walking each stratum."""
+    env = {**k.embed_point(s_point), **dict(zip(strat.coords, point))}
+    hits = [i for i, (cover, _) in enumerate(strat.strata)
+            if holds(cover.stratum.body, env, k)]
+    if len(hits) != 1:
+        raise PartitionViolation(point, len(hits))
+    cover, con = strat.strata[hits[0]]
+    if con.is_empty():
+        return hits[0], False
+    cover.admissible.require(k.q)
+    if cover.kind == "trivial":
+        element = 0
+    elif cover.kind == "kummer":
+        element = residue_oracle(eval_reference(cover.data["f"], env, k), cover.data["n"], k)
+    else:
+        element = cover.data["assign"](s_point, tuple(env[v] for v in cover.stratum.free_vars), k)
+    return hits[0], cover.group.cyclic_subgroup(element) in con
+
+
+def scan_outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except PartitionViolation as exc:
+        return ("error", PartitionViolation, tuple(exc.point), exc.count)
+    except GalstratError as exc:
+        return ("error", type(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases(), st.data())
+def test_fiber_scan_matches_pointwise_classification(case, data):
+    strat, s_point, k = case
+    points = list(itertools.product(range(k.q), repeat=len(strat.coords)))
+
+    def oracle():
+        return sorted(a for a in points if classify(strat, s_point, k, a)[1])
+
+    assert (scan_outcome(lambda: sorted(strat.galois_set(s_point, k).tuples))
+            == scan_outcome(oracle))
+    a = data.draw(st.sampled_from(points))
+    index = scan_outcome(lambda: classify(strat, s_point, k, a)[0])
+    if index[0] == "value" or index[1] is PartitionViolation:
+        assert scan_outcome(strat.stratum_of, s_point, a, k) == index
+    assert (scan_outcome(strat.member, s_point, a, k)
+            == scan_outcome(lambda: classify(strat, s_point, k, a)[1]))
+
+
+def test_translated_inputs_share_one_scan():
+    # Names and coefficients are arguments, so a translated and renamed copy
+    # of a stratification runs the same compiled scan.
+    from galstrat.scan import ScanSource
+
+    def strat(x, y, shift):
+        atom = Eq(Poly.variable(x, (x, y)) + shift, Poly.variable(y, (x, y)) ** 2)
+        inside = Formula(And(atom, Neq(Poly.variable(y), Poly.constant(0))), free_vars=(x, y))
+        outside = Formula(Not(inside.body), free_vars=(x, y))
+        return GaloisStratification((x, y), [
+            (CoverSpec.kummer(2, Poly.variable(x) + shift, inside),
+             ConjDomain(cyclic_group(2), [frozenset({0})])),
+            (CoverSpec.trivial(outside), ConjDomain.empty(cyclic_group(1)))])
+
+    k = field_from_order(13)
+    one, two = strat("b", "a", 3), strat("points", "for", 7)
+    make_one, consts_one = ScanSource(one, k, ()).plan(False)
+    make_two, consts_two = ScanSource(two, k, ()).plan(False)
+    assert make_one is make_two and consts_one != consts_two
+    shifted = {(b, a) for b, a in one.galois_set({}, k).tuples}
+    assert shifted == {((b + 4) % 13, a) for b, a in two.galois_set({}, k).tuples}
+
+
+@pytest.mark.parametrize("q", [97, 9])
+def test_deep_stratum_scans_like_its_closure(q):
+    # 250 atoms joined by & parse to a chain nested 250 deep, deeper than
+    # CPython lets an expression nest; such a body is tested through its
+    # compiled closure.
+    k = field_from_order(q)
+    x, y = Poly.variable("x", ("x", "y")), Poly.variable("y", ("x", "y"))
+    body = Neq(x, y)
+    for j in range(1, 250):
+        body = And(body, Neq(x + j, y * j))
+    inside = Formula(body, free_vars=("x", "y"))
+    strat = GaloisStratification(("x", "y"), [
+        (CoverSpec.trivial(inside), ConjDomain.full(cyclic_group(1))),
+        (CoverSpec.trivial(Formula(Not(body), free_vars=("x", "y"))),
+         ConjDomain.empty(cyclic_group(1)))])
+    test = inside.compile(k)
+    expected = [a for a in itertools.product(range(k.q), repeat=2)
+                if test(dict(zip(("x", "y"), a)))]
+    assert 0 < len(expected) < k.q ** 2
+    assert strat.galois_set({}, k).tuples == frozenset(expected)
+    assert strat.stratum_of({}, expected[0], k) == 0
+
+
+def test_thousands_of_strata_scan():
+    # The partition count adds one test per stratum; written as one flat
+    # sum of 3001 terms it would exceed CPython's compiler recursion limit.
+    k = field_from_order(3001)
+    x = Poly.variable("x")
+    strat = GaloisStratification(("x",), [
+        (CoverSpec.trivial(Formula(Eq(x, Poly.constant(c)), free_vars=("x",))),
+         ConjDomain.full(cyclic_group(1))) for c in range(k.q)])
+    assert strat.stratum_of({}, (17,), k) == 17
+    assert strat.member({}, (2999,), k)

@@ -22,6 +22,7 @@ from galstrat.fields import (
     make_field,
     power_residue,
 )
+from galstrat.fixtures import field_from_order
 from galstrat.formulas import eval_formula, parse_formula
 from galstrat.jets import JetTower, count_jets, jet_ideal
 from galstrat.polynomials import parse_poly, poly_eval
@@ -160,6 +161,19 @@ def test_power_residue_errors():
         power_residue(0, 2, k7)
     with pytest.raises(IncompatibleModulus):
         power_residue(3, 4, k7)  # 4 does not divide 6
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 4, 9, 16, 25, 27])
+def test_power_residue_is_log_mod_n(q):
+    # The defining relation c^((q-1)/n) = gen^(i (q-1)/n) pins i down mod n,
+    # and the fiber scan reads the same index as log(c) mod n.
+    k = field_from_order(q)
+    for n in (n for n in range(1, k.q) if (k.q - 1) % n == 0):
+        step = (k.q - 1) // n
+        for c in range(1, k.q):
+            i = power_residue(c, n, k)
+            assert i == k.log(c) % n
+            assert k.pow(c, step) == k.pow(k.gen, i * step)
 
 
 def test_power_residue_additivity():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,26 @@ def test_cli_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Pass"
+
+
+def test_missing_variable_error_is_the_same_under_every_hash_seed(tmp_path):
+    # The stratum uses two base parameters that the s_point leaves unbound;
+    # the error names the first in the polynomial's variable order, not in
+    # the iteration order of a set of strings.
+    doc = {"version": 1, "kind": "stratification",
+           "stratification": {"coords": ["x"], "base_params": ["t", "u"], "strata": [
+               {"cover": {"kind": "trivial", "stratum": "x = t*u"}, "con": [[0]]},
+               {"cover": {"kind": "trivial", "stratum": "~(x = t*u)"}, "con": []}]},
+           "sweep": {"primes": [5], "s_points": [{}]}}
+    path = write(tmp_path, doc)
+    outputs = set()
+    for seed in range(4):
+        proc = subprocess.run([sys.executable, "-m", "galstrat.cli", "stratify", path],
+                              capture_output=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 2
+        outputs.add(proc.stdout)
+    [out] = outputs
+    assert json.loads(out) == {"error": "MissingVariable", "detail": "t"}
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -221,6 +221,36 @@ def test_boolean_combine_requires_common_stratification():
         boolean_combine(a, other, "or")
 
 
+def test_boolean_combine_tells_admissibility_apart():
+    # The same Kummer cover, but declared inadmissible at q = 13.  Combining
+    # used to keep the first operand's cover: one order raised at F_13, the
+    # other returned six points.
+    restricted = square_indicator()
+    gm, con = restricted.strata[0]
+    gm = CoverSpec.kummer(2, "x", "~(x = 0)",
+                          admissible=covers.AdmissiblePrimes.from_json(
+                              {"mod": [2, 1], "exclude": [13]}))
+    restricted = restricted.with_strata([(gm, con), restricted.strata[1]])
+    with pytest.raises(InadmissiblePrime):
+        restricted.galois_set({}, F13)
+    for left, right in ((square_indicator(), restricted), (restricted, square_indicator())):
+        for mode in ("and", "or"):
+            with pytest.raises(CommonRefinementRequired):
+                boolean_combine(left, right, mode)
+    # The same admissible set, merged in either order or with a repeated
+    # condition, is the same cover.
+    odd, not13 = covers.AdmissiblePrimes([(2, 1)]), covers.AdmissiblePrimes(exclude=[13])
+    merged = [odd.merge(not13), not13.merge(odd), odd.merge(not13).merge(odd)]
+    strats = [restricted.with_strata(
+        [(CoverSpec.kummer(2, "x", "~(x = 0)", admissible=adm), con), restricted.strata[1]])
+        for adm in merged]
+    for left, right in itertools.product(strats, repeat=2):
+        for mode in ("and", "or"):
+            combined = boolean_combine(left, right, mode)
+            with pytest.raises(InadmissiblePrime):
+                combined.galois_set({}, F13)
+
+
 def test_boolean_combine_tells_frobenius_data_apart():
     # Two Z/2 covers of the line that differ only in their Frobenius assignment.
     def parity(flip):
