@@ -18,7 +18,7 @@ import sys
 from . import jets
 from .chi import chi_stratification, verify_specialization
 from .errors import GalstratError, IoError, SchemaError
-from .fields import DEFAULT_BUDGET
+from .fields import DEFAULT_BUDGET, check_budget
 from .fixtures import load_fixture, sweep_pairs
 from .formulas import bijection_fiber_report, eval_formula
 from .stratifications import GaloisFormula, eliminate_existential, validate_elimination
@@ -60,6 +60,13 @@ def _row(q, s_point, **found):
     return {"q": q, "s_point": key, **found}
 
 
+def _charged(pairs, num_vars, budget):
+    """The fibers, once a search over F_q^num_vars is within the budget for each."""
+    for k, _ in pairs:
+        check_budget(num_vars, k, budget)
+    return pairs
+
+
 def _set_row(k, s_point, z):
     return _row(k.q, s_point, count=len(z), tuples=[list(t) for t in z.sorted_tuples()])
 
@@ -69,7 +76,10 @@ def run(command, fixture, options) -> dict:
 
     Every command runs over the fixture's one fiber list, which `fibers`
     expands once.  A command first builds what it needs from the fixture,
-    so a faulty input is reported before a faulty sweep.
+    so a faulty input is reported before a faulty sweep.  `stratify`,
+    `eliminate` and `chi` scan F_q^m for every fiber, m being the
+    dimension of the (input) stratification; they charge that search to
+    the budget for every fiber before their first scan.
     """
     budget = options.get("budget", DEFAULT_BUDGET)
     sweep = options["sweep"]
@@ -102,12 +112,12 @@ def run(command, fixture, options) -> dict:
 
     elif command == "stratify":
         strat = payload["stratification"]
-        for k, s_point in fibers():
+        for k, s_point in _charged(fibers(), strat.ambient_dim, budget):
             rows.append(_set_row(k, s_point, strat.galois_set(s_point, k)))
 
     elif command == "eliminate":
         gf = GaloisFormula(payload["prefix"], payload["input"])
-        pairs = fibers()
+        pairs = _charged(fibers(), gf.strat.ambient_dim, budget)
         out = eliminate_existential(gf, payload["plan"])
         report["output"] = {
             "coords": list(out.strat.coords),
@@ -124,7 +134,8 @@ def run(command, fixture, options) -> dict:
     elif command == "chi":
         strat = payload["stratification"]
         symbolic = chi_stratification(strat, payload["quotient_data"])
-        chi_report = verify_specialization(symbolic, strat, payload["counts"], fibers())
+        chi_report = verify_specialization(symbolic, strat, payload["counts"],
+                                           _charged(fibers(), strat.ambient_dim, budget))
         report["class"] = str(symbolic)
         for row in chi_report.rows:
             rows.append(_row(row["q"], row["s_point"], specialized=str(row["specialized"]),

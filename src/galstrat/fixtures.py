@@ -172,6 +172,11 @@ class FixtureDoc:
 
 
 def field_from_order(q: int):
+    return make_field(*prime_power(q))
+
+
+def prime_power(q: int):
+    """(p, e) with q = p^e; an order that names no field raises."""
     if q < 2:
         raise SchemaError([f"field order {q} < 2"])
     if q > DEFAULT_CAP:
@@ -187,7 +192,7 @@ def field_from_order(q: int):
         e += 1
     if m != 1:
         raise SchemaError([f"{q} is not a prime power"])
-    return make_field(p, e)
+    return p, e
 
 
 def load_group(doc, errors, where):
@@ -360,11 +365,14 @@ def load_sweep(doc, errors, where="sweep"):
 
 
 def sweep_pairs(sweep, base_params, admissible=ALL_PRIMES):
-    """Expand a sweep into (field, s_point) pairs, honoring admissibility."""
+    """Expand a sweep into (field, s_point) pairs, honoring admissibility;
+    an order that names no field is reported before an inadmissible one,
+    and a field is built only for an admissible order."""
     pairs = []
     for q in sweep["primes"]:
+        p, e = prime_power(q)
         admissible.require(q)
-        k = field_from_order(q)
+        k = make_field(p, e)
         spec = sweep["s_points"]
         if spec == "all" or spec == "nonzero":
             import itertools

@@ -82,15 +82,17 @@ class GaloisStratification:
         It returns the points that lie in the Galois set or, with locate,
         the index of the unique stratum holding the first point.  Its code
         is compiled once per source text (see `scan.ScanSource`); per fiber
-        the base point is embedded once, and a stratum with a non-empty
-        domain builds its cover's Frobenius map when its first point arrives.
+        the base point is embedded once, an extension field hands over its
+        Zech table, and a stratum with a non-empty domain builds its
+        cover's Frobenius map when its first point arrives.
         """
         from .scan import ScanSource  # on first use: other commands never compile it
         env = k.embed_point(s_point)
         bound = tuple(name for name in self._params if name in env)
         make, consts = ScanSource(self, k, bound).plan(locate)
         strata = self.strata
-        return make(k.p, k._log, env, [env[name] for name in bound], consts,
+        return make(k.p, k.q, k._log, k.zech() if k.e > 1 else None, env,
+                    [env[name] for name in bound], consts,
                     lambda i: strata[i][0].frobenius_map(s_point, k), [None] * len(strata))
 
     def stratum_of(self, s_point, a, k):

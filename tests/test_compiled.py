@@ -497,7 +497,7 @@ def test_sibling_existentials_are_scanned(monkeypatch):
 # they must not shadow anything.
 SCAN_NAMES = ("for", "p", "q", "points", "v0", "c0")
 SCAN_BASE = ("b0", "log")
-SCAN_FIELDS = [2, 3, 5, 7, 11, 13, 31, 53, 97, 4, 8, 9, 16, 25, 27, 125, 3125]
+SCAN_FIELDS = [2, 3, 5, 7, 11, 13, 31, 53, 97, 4, 8, 9, 16, 25, 27, 49, 125, 625, 3125]
 Z3 = cyclic_group(3)
 
 
@@ -648,27 +648,100 @@ def test_fiber_scan_matches_pointwise_classification(case, data):
             == scan_outcome(lambda: classify(strat, s_point, k, a)[1]))
 
 
+def translated_strat(x, y, shift):
+    """x + shift = y^2 with y != 0, under a Kummer cover of x + shift, and
+    its complement."""
+    atom = Eq(Poly.variable(x, (x, y)) + shift, Poly.variable(y, (x, y)) ** 2)
+    inside = Formula(And(atom, Neq(Poly.variable(y), Poly.constant(0))), free_vars=(x, y))
+    outside = Formula(Not(inside.body), free_vars=(x, y))
+    return GaloisStratification((x, y), [
+        (CoverSpec.kummer(2, Poly.variable(x) + shift, inside),
+         ConjDomain(cyclic_group(2), [frozenset({0})])),
+        (CoverSpec.trivial(outside), ConjDomain.empty(cyclic_group(1)))])
+
+
 def test_translated_inputs_share_one_scan():
     # Names and coefficients are arguments, so a translated and renamed copy
     # of a stratification runs the same compiled scan.
     from galstrat.scan import ScanSource
 
-    def strat(x, y, shift):
-        atom = Eq(Poly.variable(x, (x, y)) + shift, Poly.variable(y, (x, y)) ** 2)
-        inside = Formula(And(atom, Neq(Poly.variable(y), Poly.constant(0))), free_vars=(x, y))
-        outside = Formula(Not(inside.body), free_vars=(x, y))
-        return GaloisStratification((x, y), [
-            (CoverSpec.kummer(2, Poly.variable(x) + shift, inside),
-             ConjDomain(cyclic_group(2), [frozenset({0})])),
-            (CoverSpec.trivial(outside), ConjDomain.empty(cyclic_group(1)))])
-
     k = field_from_order(13)
-    one, two = strat("b", "a", 3), strat("points", "for", 7)
+    one, two = translated_strat("b", "a", 3), translated_strat("points", "for", 7)
     make_one, consts_one = ScanSource(one, k, ()).plan(False)
     make_two, consts_two = ScanSource(two, k, ()).plan(False)
     assert make_one is make_two and consts_one != consts_two
     shifted = {(b, a) for b, a in one.galois_set({}, k).tuples}
     assert shifted == {((b + 4) % 13, a) for b, a in two.galois_set({}, k).tuples}
+
+
+def test_translated_extension_inputs_share_one_inlined_scan():
+    # Over an extension field the atoms and the Kummer f are logarithms
+    # computed in the scan itself, so no closure reads an env, and copies
+    # over F_49 and F_3125 run one compiled scan.
+    from galstrat.scan import ScanSource
+
+    makes = set()
+    for q, names, shift in [(49, ("b", "a"), 3), (49, ("points", "for"), 5),
+                            (3125, ("b", "a"), 2), (3125, ("log", "zech"), 4)]:
+        source = ScanSource(translated_strat(*names, shift), field_from_order(q), ())
+        makes.add(source.plan(False)[0])
+        assert not source.uses_env
+    assert len(makes) == 1
+    k, strat = field_from_order(49), translated_strat("b", "a", 3)
+    points = itertools.product(range(k.q), repeat=2)
+    assert strat.galois_set({}, k).tuples == {
+        a for a in points if classify(strat, {}, k, a)[1]}
+
+
+def test_kummer_zero_on_its_stratum_raises_like_the_oracle():
+    # f = x - 1 vanishes at x = 1, which the stratum x != 2 holds: the
+    # inlined residue raises where the oracle does, and nowhere else.
+    from galstrat.scan import ScanSource
+
+    k, x = field_from_order(25), Poly.variable("x")
+    inside = Formula(Neq(x, Poly.constant(2)), free_vars=("x",))
+    cover = CoverSpec("kummer", cyclic_group(2), inside, covers.AdmissiblePrimes([(2, 1)]),
+                      n=2, f=x - 1)
+    strat = GaloisStratification(("x",), [
+        (cover, ConjDomain.full(cyclic_group(2))),
+        (CoverSpec.trivial(Formula(Eq(x, Poly.constant(2)), free_vars=("x",))),
+         ConjDomain.empty(cyclic_group(1)))])
+    source = ScanSource(strat, k, ())
+    source.plan(False)
+    assert not source.uses_env
+
+    def message(fn, *args):
+        try:
+            return ("value", fn(*args))
+        except PointOffStratum as exc:
+            return ("error", str(exc))
+
+    assert message(strat.galois_set, {}, k) == ("error", covers.KUMMER_ZERO)
+    for a in range(k.q):
+        assert (message(strat.member, {}, (a,), k)
+                == message(lambda: classify(strat, {}, k, (a,))[1]))
+    assert message(strat.member, {}, (1,), k)[0] == "error"
+
+
+def test_bad_denominator_over_an_extension_field_raises_at_the_same_point():
+    # y/3 over F_9 is read only where x = 2 holds, through the stratum's
+    # compiled closure: membership raises at those points and at no other.
+    k = field_from_order(9)
+    x, y = Poly.variable("x", ("x", "y")), Poly.variable("y", ("x", "y"))
+    body = And(Eq(x, Poly.constant(2)), Eq(y * Fraction(1, 3), Poly.constant(0)))
+    strat = GaloisStratification(("x", "y"), [
+        (CoverSpec.trivial(Formula(body, free_vars=("x", "y"))),
+         ConjDomain.full(cyclic_group(1))),
+        (CoverSpec.trivial(Formula(Not(body), free_vars=("x", "y"))),
+         ConjDomain.empty(cyclic_group(1)))])
+    raised = set()
+    for a in itertools.product(range(k.q), repeat=2):
+        outcome = scan_outcome(strat.member, {}, a, k)
+        assert outcome == scan_outcome(lambda: classify(strat, {}, k, a)[1])
+        if outcome == ("error", DenominatorNotInvertible):
+            raised.add(a)
+    assert raised == {(2, y) for y in range(k.q)}
+    assert scan_outcome(strat.galois_set, {}, k) == ("error", DenominatorNotInvertible)
 
 
 @pytest.mark.parametrize("q", [97, 9])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from galstrat import cli, fixtures
+from galstrat import cli, fixtures, stratifications
 from galstrat.cli import main, run
 from galstrat.errors import SchemaError
 from galstrat.fixtures import field_from_order, load_fixture
@@ -229,6 +229,45 @@ def test_cli_finite_budget_still_guards(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("command,name,primes,budget", [
+    ("stratify", "square_indicator_strat.json", "3125", "1"),
+    ("stratify", "square_indicator_strat.json", "3125", "-1"),
+    # the input's two coordinates are charged (4.6 bits), not the output's one
+    ("eliminate", "case1_squaring.json", "5", "4"),
+    ("chi", "kummer_z2_chi.json", "5,13", "3"),
+])
+def test_cli_scanning_commands_charge_the_budget(command, name, primes, budget,
+                                                 monkeypatch, capsys):
+    def scan(*args, **kwargs):
+        raise AssertionError("a fiber was scanned before the budget was charged")
+
+    monkeypatch.setattr(stratifications.GaloisStratification, "_scan", scan)
+    code = main([command, str(FIXTURES / name), "--primes", primes, "--budget", budget])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("primes,error,detail", [
+    ("6", "SchemaError", ["6 is not a prime power"]),
+    ("0", "SchemaError", ["field order 0 < 2"]),
+    ("70000", "CapExceeded", "q = 70000 outside [2, 65536]"),
+    ("4096", "InadmissiblePrime", "q = 4096 violates q = 1 mod 2"),
+])
+def test_cli_field_order_is_checked_before_admissibility(primes, error, detail,
+                                                         monkeypatch, capsys):
+    # square_indicator_strat admits only q = 1 mod 2, which every order here
+    # violates; none of them gets its field built
+    def make_field(p, e):
+        raise AssertionError(f"F_{p}^{e} was built")
+
+    monkeypatch.setattr(fixtures, "make_field", make_field)
+    code = main(["stratify", str(FIXTURES / "square_indicator_strat.json"), "--primes", primes])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert (report["error"], report["detail"]) == (error, detail)
 
 
 @pytest.mark.parametrize("command,name,missing", [
